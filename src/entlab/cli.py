@@ -2,10 +2,11 @@
 
 Each experiment draws its randomness from a seeded generator (PCG64), emits
 plot-ready rows to CSV or JSON, and recomputes its pass/fail checks from the
-emitted rows.  Output files are byte-identical for identical config + seed
-in single-threaded mode.
+emitted rows.  Output files are byte-identical for identical config + seed,
+and are written whole or not at all.
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage/config error, 3 I/O error.
+Exit codes: 0 pass, 1 assertion failure, 2 usage/config error, 3 I/O error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dmrg, harmonic_chain, quantum_state, rindler
+from . import __version__, dmrg, harmonic_chain, numerics, quantum_state, rindler
 
 __all__ = ["ExperimentConfig", "RunReport", "UsageError", "run_experiment", "main"]
 
@@ -37,7 +39,6 @@ class ExperimentConfig:
     seed: int = 0
     out: Path | None = None
     fmt: str = "csv"
-    threads: int = 1
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -47,8 +48,6 @@ class ExperimentConfig:
                 f"{', '.join(sorted(EXPERIMENTS))}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
         defaults = EXPERIMENTS[self.experiment].defaults
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -81,7 +80,6 @@ class RunReport:
             "experiment": self.config.experiment,
             "seed": self.config.seed,
             "rng": RNG_NAME,
-            "threads": self.config.threads,
             "parameters": self.config.params,
             "version": self.version,
             "rows": self.rows,
@@ -192,7 +190,7 @@ def _run_oracle(params, rng):
     gs = harmonic_chain.ground_state_covariance(potential)
     region = range(max(1, params["n_sites"] // 2))
     s_gauss = harmonic_chain.block_entropy(gs, region)
-    exact_energy = 0.5 * float(np.sqrt(np.linalg.eigvalsh(potential)).sum())
+    exact_energy = harmonic_chain.ground_energy(potential)
     rows = []
     for d in (params["fock_cutoff"] // 2, params["fock_cutoff"]):
         state, energy = harmonic_chain.fock_ground_state(potential, d, cut=len(region))
@@ -214,10 +212,9 @@ def _check_oracle(rows, params):
 def _dmrg_oracle(length, mass):
     spec = harmonic_chain.ChainSpec(n_sites=length, mass=mass)
     potential = harmonic_chain.build_potential(spec)
-    energy = 0.5 * float(np.sqrt(np.linalg.eigvalsh(potential)).sum())
     gs = harmonic_chain.ground_state_covariance(potential)
     entropy = harmonic_chain.block_entropy(gs, range(length // 2))
-    return energy, entropy
+    return harmonic_chain.ground_energy(potential), entropy
 
 
 def _run_dmrg(params, rng):
@@ -275,7 +272,6 @@ def _check_modes(rows, params):
 def _run_spectrum(params, rng):
     spectrum = rindler.discrete_spectrum(params["mass"], params["epsilon"],
                                          params["ell_max"])
-    x0 = params["mass"] * params["epsilon"]
     rows = []
     for n, ell in enumerate(spectrum.ell_values):
         residual = abs(float(np.atleast_1d(
@@ -407,17 +403,28 @@ def _format_cell(value) -> str:
 
 
 def _write_report(report: RunReport, path: Path) -> None:
-    if report.config.fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = list(report.rows[0].keys())
-            writer.writerow(header)
-            for row in report.rows:
-                writer.writerow([_format_cell(row[key]) for key in header])
-    else:
-        with open(path, "w") as fh:
-            json.dump(report.file_payload(), fh, indent=2)
-            fh.write("\n")
+    """Write the report to a temporary sibling file, then move it into
+    place, so that a failure never leaves a partial report.  A report with
+    no rows is an empty CSV file or a JSON report with `rows: []`."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        if report.config.fmt == "csv":
+            with open(tmp, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                if report.rows:
+                    header = list(report.rows[0].keys())
+                    writer.writerow(header)
+                    for row in report.rows:
+                        writer.writerow([_format_cell(row[key]) for key in header])
+        else:
+            with open(tmp, "w") as fh:
+                json.dump(report.file_payload(), fh, indent=2)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
@@ -447,9 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(default <experiment>.<format>)")
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt",
                         help="output format (default csv)")
-    parser.add_argument("--threads", type=int,
-                        help="trial parallelism; determinism is guaranteed "
-                        "only at 1 (default 1)")
     return parser
 
 
@@ -466,7 +470,7 @@ def _parse_config_file(path: Path) -> dict:
     return entries
 
 
-_RESERVED_KEYS = ("experiment", "seed", "out", "format", "threads")
+_RESERVED_KEYS = ("experiment", "seed", "out", "format")
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -485,11 +489,9 @@ def _resolve_config(args) -> ExperimentConfig:
     out = args.out if args.out is not None else (
         Path(file_entries["out"]) if "out" in file_entries else None)
     fmt = args.fmt or file_entries.get("format", "csv")
-    threads = args.threads if args.threads is not None else int(
-        file_entries.get("threads", 1))
     params = {k: v for k, v in file_entries.items() if k not in _RESERVED_KEYS}
     return ExperimentConfig(experiment=experiment, seed=seed, out=out,
-                            fmt=fmt, threads=threads, params=params)
+                            fmt=fmt, params=params)
 
 
 def main(argv=None) -> int:
@@ -505,6 +507,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except numerics.EigensolverError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

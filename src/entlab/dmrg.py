@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics
-from .harmonic_chain import oscillator_ops
-from .quantum_state import BipartiteState, reduced_density_left
+from .harmonic_chain import DENSE_LIMIT, oscillator_ops
+from .quantum_state import BipartiteState, entropy_from_probs, reduced_density_left
 
 __all__ = [
     "DmrgConfig",
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _DEGENERACY_TOL = 1e-12
+_SUPERBLOCK_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,6 @@ class DmrgConfig:
     gs_tolerance: float = 1e-10
     max_iterations: int = 200
     initial_block_sites: int = 1
-    dense_limit: int = 4096
-    superblock_limit: int = 1 << 20
 
     def __post_init__(self):
         if self.local_dim < 2:
@@ -51,10 +50,10 @@ class DmrgConfig:
             raise ValueError("target_length must be a positive even integer")
         if self.initial_block_sites < 1:
             raise ValueError("initial_block_sites must be >= 1")
-        if self.local_dim ** self.initial_block_sites > self.dense_limit:
+        if self.local_dim ** self.initial_block_sites > DENSE_LIMIT:
             raise ValueError(
                 f"initial block basis {self.local_dim}^{self.initial_block_sites} "
-                f"exceeds dense limit {self.dense_limit}")
+                f"exceeds dense limit {DENSE_LIMIT}")
 
     @property
     def site_frequency(self) -> float:
@@ -66,17 +65,14 @@ class DmrgConfig:
 class DmrgBlock:
     """Block of `length` sites in a (possibly truncated) basis.
 
-    edge_phi / edge_pi are the field and momentum operators of the
-    origin-facing boundary site.  All matrices are real; the physical
-    momentum is 1j * edge_pi, so edge_pi itself is antisymmetric.
-    warm_start, when present, is the previous ground state embedded in this
-    block's superblock space.
+    edge_phi is the field operator of the origin-facing boundary site; all
+    matrices are real.  warm_start, when present, is the previous ground
+    state embedded in this block's superblock space.
     """
 
     length: int
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
-    edge_pi: np.ndarray
     warm_start: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -130,23 +126,22 @@ class Superblock:
 
 
 def _single_site(config: DmrgConfig) -> DmrgBlock:
-    h, phi, pi_factor = oscillator_ops(config.site_frequency, config.local_dim)
-    return DmrgBlock(length=1, hamiltonian=h, edge_phi=phi, edge_pi=pi_factor)
+    h, phi = oscillator_ops(config.site_frequency, config.local_dim)
+    return DmrgBlock(length=1, hamiltonian=h, edge_phi=phi)
 
 
 def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
     """Adjoin one bare site at the origin-facing edge; the enlarged basis is
     (new site) x (block)."""
     d = config.local_dim
-    h1, phi1, pi1 = oscillator_ops(config.site_frequency, d)
+    h1, phi1 = oscillator_ops(config.site_frequency, d)
     n = block.basis_size
     ham = (np.kron(h1, np.eye(n))
            + np.kron(np.eye(d), block.hamiltonian)
            - np.kron(phi1, block.edge_phi))
     return DmrgBlock(length=block.length + 1,
                      hamiltonian=ham,
-                     edge_phi=np.kron(phi1, np.eye(n)),
-                     edge_pi=np.kron(pi1, np.eye(n)))
+                     edge_phi=np.kron(phi1, np.eye(n)))
 
 
 def init_block(config: DmrgConfig) -> DmrgBlock:
@@ -163,17 +158,15 @@ def form_superblock(block: DmrgBlock, coupling: float = 1.0) -> Superblock:
 
     `coupling` scales the cross term (0 gives two uncoupled copies, used in
     tests)."""
-    if block.basis_size ** 2 > (1 << 26):
-        raise ValueError(f"superblock dimension {block.basis_size ** 2} too large")
+    if block.basis_size ** 2 > _SUPERBLOCK_LIMIT:
+        raise ValueError(
+            f"superblock dimension {block.basis_size ** 2} exceeds limit "
+            f"{_SUPERBLOCK_LIMIT}")
     return Superblock(hamiltonian=block.hamiltonian, edge_phi=block.edge_phi,
                       coupling=coupling)
 
 
-def dmrg_step(
-    block: DmrgBlock,
-    config: DmrgConfig,
-    initial_guess: np.ndarray | None = None,
-) -> tuple[DmrgBlock, DmrgIterate]:
+def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
     """One growth step: solve the superblock, truncate the block basis to the
     kept_states dominant density-matrix eigenstates, adjoin one site.
 
@@ -181,13 +174,10 @@ def dmrg_step(
     just solved (chain length 2 x block length).
     """
     n = block.basis_size
-    if n ** 2 > config.superblock_limit:
-        raise ValueError(
-            f"superblock dimension {n ** 2} exceeds limit {config.superblock_limit}")
     superblock = form_superblock(block)
-    guess = initial_guess if initial_guess is not None else block.warm_start
     energy, psi = numerics.smallest_eigenpair(
-        superblock.matvec, superblock.dim, tol=config.gs_tolerance, v0=guess)
+        superblock.matvec, superblock.dim, tol=config.gs_tolerance,
+        v0=block.warm_start)
 
     matrix = psi.reshape(n, n)
     rho = reduced_density_left(BipartiteState(matrix))  # validates the invariants
@@ -195,9 +185,7 @@ def dmrg_step(
     w = w[::-1]
     u = u[:, ::-1]
 
-    positive = np.clip(w, 0.0, 1.0)
-    nz = positive[positive > 1e-16]
-    entropy = float(-(nz * np.log(nz)).sum())
+    entropy = entropy_from_probs(w)
 
     kept = min(config.kept_states, n)
     # keep a degenerate multiplet intact when it straddles the cut (zero-weight
@@ -212,8 +200,7 @@ def dmrg_step(
     kept_ham = 0.5 * (kept_ham + kept_ham.T)
     truncated = DmrgBlock(length=block.length,
                           hamiltonian=kept_ham,
-                          edge_phi=basis.T @ block.edge_phi @ basis,
-                          edge_pi=basis.T @ block.edge_pi @ basis)
+                          edge_phi=basis.T @ block.edge_phi @ basis)
     enlarged = _enlarge(truncated, config)
 
     # embed the ground state for warm starting the next superblock solve:

@@ -15,13 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import numerics
-from .quantum_state import BipartiteState
+from .quantum_state import BipartiteState, bose_entropy
 
 __all__ = [
     "ChainSpec",
     "GaussianGroundState",
     "build_potential",
     "ground_state_covariance",
+    "ground_energy",
     "symplectic_eigenvalues",
     "block_entropy",
     "entanglement_spectrum",
@@ -105,6 +106,12 @@ def ground_state_covariance(potential: np.ndarray) -> GaussianGroundState:
     return GaussianGroundState(X=0.5 * (x + x.T), P=0.5 * (p + p.T))
 
 
+def ground_energy(potential: np.ndarray) -> float:
+    """Exact ground energy sum_k omega_k / 2 of H = sum pi^2/2 + phi^T V phi / 2,
+    with omega_k^2 the eigenvalues of the potential."""
+    return 0.5 * float(np.sqrt(np.linalg.eigvalsh(potential)).sum())
+
+
 def _region_indices(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarray:
     idx = np.asarray(sorted(set(int(i) for i in region)), dtype=int)
     if idx.size == 0:
@@ -127,18 +134,19 @@ def symplectic_eigenvalues(gs: GaussianGroundState, region: Iterable[int]) -> np
     return np.sqrt(np.clip(mu, 0.25, None))
 
 
-def _mode_entropy(nu: np.ndarray) -> float:
+def _mode_energies(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarray:
+    """Entanglement energies eps_k = ln((nu_k+1/2)/(nu_k-1/2)) of the mixed
+    modes of the block; pure modes (nu = 1/2) are left out."""
+    nu = symplectic_eigenvalues(gs, region)
     mixed = nu[nu > 0.5 + _PURE_NU_TOL]
-    up = mixed + 0.5
-    dn = mixed - 0.5
-    return float((up * np.log(up) - dn * np.log(dn)).sum())
+    return np.log((mixed + 0.5) / (mixed - 0.5))
 
 
 def block_entropy(gs: GaussianGroundState, region: Iterable[int]) -> float:
     """Entanglement entropy (nats) of a block of sites in the Gaussian
-    ground state: S = sum (nu+1/2)ln(nu+1/2) - (nu-1/2)ln(nu-1/2), with
-    nu = 1/2 modes contributing zero."""
-    return _mode_entropy(symplectic_eigenvalues(gs, region))
+    ground state: the sum of the bosonic mode entropies at the entanglement
+    energies eps_k, with pure modes contributing zero."""
+    return float(bose_entropy(_mode_energies(gs, region)).sum())
 
 
 def entanglement_spectrum(
@@ -154,11 +162,9 @@ def entanglement_spectrum(
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    nu = symplectic_eigenvalues(gs, region)
-    mixed = nu[nu > 0.5 + _PURE_NU_TOL]
-    if mixed.size == 0:
+    eps = _mode_energies(gs, region)
+    if eps.size == 0:
         return np.array([1.0])
-    eps = np.log((mixed + 0.5) / (mixed - 0.5))
     norm_log = float(np.log1p(-np.exp(-eps)).sum())
 
     # best-first search over occupation tuples ordered by total energy
@@ -177,14 +183,12 @@ def entanglement_spectrum(
     return np.array(out)
 
 
-def oscillator_ops(omega: float, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def oscillator_ops(omega: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-site operators in the first d oscillator eigenstates at
     frequency omega.
 
-    Returns (h, phi, pi_factor): h is the on-site Hamiltonian
-    omega (n + 1/2), already the exact projection onto the basis; phi the
-    position matrix; pi_factor the real antisymmetric matrix with
-    pi = 1j * pi_factor.
+    Returns (h, phi): h is the on-site Hamiltonian omega (n + 1/2), already
+    the exact projection onto the basis; phi the position matrix.
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
@@ -194,8 +198,7 @@ def oscillator_ops(omega: float, d: int) -> tuple[np.ndarray, np.ndarray, np.nda
     a = np.diag(np.sqrt(n[1:].astype(float)), 1)
     h = np.diag(omega * (n + 0.5))
     phi = (a + a.T) / np.sqrt(2.0 * omega)
-    pi_factor = np.sqrt(omega / 2.0) * (a.T - a)
-    return h, phi, pi_factor
+    return h, phi
 
 
 def _embed(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
@@ -209,7 +212,6 @@ def fock_ground_state(
     potential: np.ndarray,
     d: int,
     cut: int | None = None,
-    dense_limit: int = DENSE_LIMIT,
 ) -> tuple[BipartiteState, float]:
     """Brute-force ground state of H = sum pi^2/2 + phi^T V phi / 2 in a
     truncated product Fock basis, d levels per site in the local eigenbasis
@@ -224,9 +226,9 @@ def fock_ground_state(
     if d < 2:
         raise ValueError("d must be >= 2")
     size = d ** n
-    if size > dense_limit:
+    if size > DENSE_LIMIT:
         raise ValueError(
-            f"dense basis of size {d}^{n} = {size} exceeds limit {dense_limit}")
+            f"dense basis of size {d}^{n} = {size} exceeds limit {DENSE_LIMIT}")
     if cut is None:
         cut = n // 2
     if not 1 <= cut < max(n, 2):
@@ -236,7 +238,7 @@ def fock_ground_state(
     h = np.zeros((size, size))
     phis = []
     for i in range(n):
-        hi, phi, _ = oscillator_ops(float(np.sqrt(v[i, i])), d)
+        hi, phi = oscillator_ops(float(np.sqrt(v[i, i])), d)
         phis.append(phi)
         h += _embed(hi, i, dims)
     for i in range(n):

@@ -29,10 +29,13 @@ __all__ = [
 
 
 class EigensolverError(RuntimeError):
-    """Iterative eigensolver failed to meet its residual contract."""
+    """Iterative eigensolver failed to meet its residual contract.
+
+    `iterations` is the number of Lanczos steps (operator applications)
+    made before giving up."""
 
     def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} (after {iterations} iterations)")
+        super().__init__(f"{message} ({iterations} operator applications)")
         self.iterations = iterations
 
 
@@ -94,60 +97,61 @@ def svd(matrix: np.ndarray) -> SingularValueDecomposition:
 _START_SEED = 0x5EED
 
 
-def _dense_from_apply(apply: Callable[[np.ndarray], np.ndarray], dim: int,
-                      dtype) -> np.ndarray:
-    cols = [np.asarray(apply(np.eye(dim, dtype=dtype)[:, j])) for j in range(dim)]
-    return np.stack(cols, axis=1)
-
-
 def smallest_eigenpair(
     apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
     tol: float = 1e-10,
     max_iterations: int = 20000,
     v0: np.ndarray | None = None,
-    dtype=np.float64,
 ) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and eigenvector of a self-adjoint operator.
+    """Smallest eigenvalue and eigenvector of a real self-adjoint operator.
 
     `apply` maps a vector of length `dim` to H @ v.  Small problems fall back
     to a dense solve; larger ones use a Lanczos iteration whose result is
     verified against the residual contract ||H v - E v|| <= tol and re-run
-    tighter if needed.
+    tighter if needed, at most three attempts of `max_iterations` restarts
+    each.
 
-    Raises EigensolverError (with the iteration count) on non-convergence.
+    Raises EigensolverError on non-convergence.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if dim <= 16:
-        h = _dense_from_apply(apply, dim, dtype)
+        h = np.stack([np.asarray(apply(col)) for col in np.eye(dim)], axis=1)
         dec = sym_eig(h)
         return float(dec.values[0]), dec.vectors[:, 0]
 
     if v0 is None:
         v0 = np.random.default_rng(_START_SEED).standard_normal(dim)
-    v0 = np.asarray(v0, dtype=dtype)
+    v0 = np.asarray(v0, dtype=np.float64)
 
-    op = LinearOperator((dim, dim), matvec=apply, dtype=dtype)
+    applications = 0
+
+    def counted(vec):
+        nonlocal applications
+        applications += 1
+        return apply(vec)
+
+    op = LinearOperator((dim, dim), matvec=counted, dtype=np.float64)
     arpack_tol = tol
-    iterations = 0
-    for _ in range(3):
+    for attempt in range(1, 4):
         try:
             vals, vecs = eigsh(op, k=1, which="SA", v0=v0, tol=arpack_tol,
                                maxiter=max_iterations)
         except ArpackNoConvergence as exc:
             raise EigensolverError(
-                "Lanczos iteration did not converge", max_iterations) from exc
-        iterations += max_iterations
+                f"Lanczos iteration did not converge within {max_iterations} "
+                f"restarts on attempt {attempt}", applications) from exc
         value = float(vals[0])
         vector = vecs[:, 0]
-        residual = float(np.linalg.norm(apply(vector) - value * vector))
+        residual = float(np.linalg.norm(counted(vector) - value * vector))
         if residual <= tol:
             return value, vector
         v0 = vector
         arpack_tol = max(arpack_tol / 100.0, 1e-16)
     raise EigensolverError(
-        f"residual {residual:.3e} above tolerance {tol:.3e}", iterations)
+        f"residual {residual:.3e} still above tolerance {tol:.3e} after "
+        f"{attempt} Lanczos attempts", applications)
 
 
 # --- imaginary-order modified Bessel function ------------------------------
@@ -211,15 +215,15 @@ def _trapezoid_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def bessel_K_imag(ell, x):
     """Modified Bessel function of imaginary order, K_{i ell}(x), real-valued.
 
-    Requires x > 0 and ell >= 0.  Either argument may be a 1-d array while
-    the other is scalar; the quadrature grid is then shared across the batch.
+    Requires x > 0 and ell >= 0.  One argument may be a 1-d array while the
+    other is scalar; the quadrature grid is then shared across the batch.
     """
     ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if ell_arr.ndim > 1 or x_arr.ndim > 1:
         raise ValueError("ell and x must be scalars or 1-d arrays")
-    if ell_arr.size > 1 and x_arr.size > 1 and ell_arr.size != x_arr.size:
-        raise ValueError("array arguments must have matching lengths")
+    if ell_arr.size > 1 and x_arr.size > 1:
+        raise ValueError("ell and x cannot both be arrays")
     _require_finite(ell_arr, "ell")
     _require_finite(x_arr, "x")
     if np.any(x_arr <= 0.0):
@@ -230,11 +234,6 @@ def bessel_K_imag(ell, x):
     scalar = np.isscalar(ell) or getattr(ell, "ndim", 1) == 0
     scalar = scalar and (np.isscalar(x) or getattr(x, "ndim", 1) == 0)
 
-    if ell_arr.size > 1 and x_arr.size > 1:
-        # paired evaluation
-        out = np.array([_trapezoid_K(ell_arr[i:i + 1], x_arr[i:i + 1])[0, 0]
-                        for i in range(ell_arr.size)])
-        return out
     if x_arr.size == 1:
         out = np.concatenate([
             _trapezoid_K(ell_arr[i:i + _CHUNK], x_arr)[:, 0]
@@ -246,32 +245,31 @@ def bessel_K_imag(ell, x):
     return float(out[0]) if scalar else out
 
 
+_SCAN_POINTS_PER_UNIT = 1000.0
+_ROOT_XTOL = 1e-12
+
+
 def find_roots(
     f: Callable,
     bracket: Sequence[float],
     count: int | None = None,
-    scan_points_per_unit: float = 1000.0,
-    xtol: float = 1e-12,
     f_tol: float = 1e-8,
-    vectorized: bool = False,
 ) -> np.ndarray:
     """Roots of a continuous function on an interval, ascending.
 
-    Scans the bracket for sign changes (default 10^3 points per unit length)
-    and bisects each one.  Returned roots satisfy |f(r)| <= f_tol and carry a
-    sign change in their surrounding sub-bracket.  If `count` is given and
-    fewer sign changes are found, a RootCountWarning is issued and the roots
-    found are returned.
+    `f` must accept a 1-d array and return the values elementwise.  Scans
+    the bracket for sign changes (10^3 points per unit length) and bisects
+    each one to 1e-12 relative.  Returned roots satisfy |f(r)| <= f_tol and
+    carry a sign change in their surrounding sub-bracket.  If `count` is
+    given and fewer sign changes are found, a RootCountWarning is issued and
+    the roots found are returned.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
-    n_scan = max(8, int(np.ceil((hi - lo) * scan_points_per_unit)))
+    n_scan = max(8, int(np.ceil((hi - lo) * _SCAN_POINTS_PER_UNIT)))
     grid = np.linspace(lo, hi, n_scan + 1)
-    if vectorized:
-        values = np.asarray(f(grid), dtype=float)
-    else:
-        values = np.array([float(f(g)) for g in grid])
+    values = np.asarray(f(grid), dtype=float)
     _require_finite(values, "f(scan grid)")
 
     roots: list[float] = []
@@ -285,7 +283,7 @@ def find_roots(
         fa = float(values[i])
         for _ in range(200):
             mid = 0.5 * (a + b)
-            fm = float(f(mid)) if not vectorized else float(f(np.array([mid]))[0])
+            fm = float(f(np.array([mid]))[0])
             if fm == 0.0:
                 a = b = mid
                 break
@@ -293,10 +291,10 @@ def find_roots(
                 a, fa = mid, fm
             else:
                 b = mid
-            if b - a <= xtol * max(1.0, abs(b)):
+            if b - a <= _ROOT_XTOL * max(1.0, abs(b)):
                 break
         r = 0.5 * (a + b)
-        fr = float(f(r)) if not vectorized else float(f(np.array([r]))[0])
+        fr = float(f(np.array([r]))[0])
         if abs(fr) <= f_tol:
             roots.append(r)
 

@@ -19,6 +19,8 @@ __all__ = [
     "SchmidtDecomposition",
     "reduced_density_right",
     "reduced_density_left",
+    "entropy_from_probs",
+    "bose_entropy",
     "von_neumann_entropy",
     "schmidt",
     "fidelity",
@@ -115,14 +117,25 @@ def reduced_density_left(state: BipartiteState) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho).real)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S = -Tr rho ln rho in nats, with the 0 ln 0 = 0 convention.
-
-    Eigenvalues are clamped to [0, 1] before the log.
-    """
-    p = np.clip(np.linalg.eigvalsh(rho.entries), 0.0, 1.0)
+def entropy_from_probs(p) -> float:
+    """Shannon entropy -sum p ln p in nats of a probability vector, with the
+    0 ln 0 = 0 convention.  Entries are clamped to [0, 1] before the log."""
+    p = np.clip(p, 0.0, 1.0)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def bose_entropy(eps):
+    """Entropy (nats) of a bosonic mode with Boltzmann factor e^{-eps}:
+    s = eps/(e^eps - 1) - ln(1 - e^{-eps}), written in q = e^{-eps} so that
+    nothing overflows at large eps.  Elementwise on arrays."""
+    q = np.exp(-eps)
+    return eps * q / -np.expm1(-eps) - np.log1p(-q)
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S = -Tr rho ln rho in nats, from the eigenvalues of rho."""
+    return entropy_from_probs(np.linalg.eigvalsh(rho.entries))
 
 
 def schmidt(state: BipartiteState) -> SchmidtDecomposition:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import numerics
+from .quantum_state import bose_entropy
 
 __all__ = [
     "AngularMode",
@@ -112,21 +113,14 @@ def _count_sign_changes(values: np.ndarray) -> int:
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
-def classify_turning_point(
-    mode: AngularMode,
-    resolution: int = 1000,
-    x_max: float | None = None,
-) -> TurningPointCensus:
+def classify_turning_point(mode: AngularMode, resolution: int = 1000) -> TurningPointCensus:
     """Census of sign changes on both sides of the turning point
     x* = ell/mass, from dense sampling at the given resolution (points per
-    region, >= 1000)."""
+    region, >= 1000) up to x* + 22/mass."""
     if resolution < 1000:
         raise ValueError("resolution must be at least 1000 points")
     x_star = mode.turning_point
-    if x_max is None:
-        x_max = x_star + 22.0 / mode.mass
-    if x_max <= x_star:
-        raise ValueError("x_max must exceed the turning point")
+    x_max = x_star + 22.0 / mode.mass
 
     osc_changes = 0
     if x_star > 0.0:
@@ -148,7 +142,6 @@ def discrete_spectrum(
     mass: float,
     epsilon: float,
     ell_max: float,
-    scan_points_per_unit: float = 1000.0,
 ) -> AngularSpectrum:
     """Discrete angular frequencies: the roots of ell -> K_{i ell}(m epsilon)
     in (0, ell_max], ascending.
@@ -166,9 +159,7 @@ def discrete_spectrum(
         return numerics.bessel_K_imag(ell, x0)
 
     lo = min(1e-4, ell_max / 2.0)
-    roots = numerics.find_roots(boundary, (lo, ell_max),
-                                scan_points_per_unit=scan_points_per_unit,
-                                f_tol=_RESIDUAL_TOL, vectorized=True)
+    roots = numerics.find_roots(boundary, (lo, ell_max), f_tol=_RESIDUAL_TOL)
     if roots.size == 0:
         warnings.warn(
             f"no angular frequencies below ell_max={ell_max} at "
@@ -200,15 +191,14 @@ def thermal_weights(spectrum: AngularSpectrum, n_max: int) -> np.ndarray:
 def mode_entropy(ell: float) -> float:
     """Closed-form entropy (nats) of one bosonic mode of frequency ell at
     inverse temperature 2*pi."""
-    be = BETA * ell
-    return float(be / np.expm1(be) - np.log1p(-np.exp(-be)))
+    return float(bose_entropy(BETA * ell))
 
 
 def geometric_entropy(spectrum: AngularSpectrum) -> float:
     """Total entropy of the regulated thermal state, summed over modes;
     zero for an empty spectrum and growing as the spectrum gains low-ell
     modes."""
-    return float(sum(mode_entropy(ell) for ell in spectrum.ell_values))
+    return float(bose_entropy(BETA * spectrum.ell_values).sum())
 
 
 # --- Kruskal-Szekeres chart of the Schwarzschild exterior -------------------

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from entlab import cli
 
 
@@ -163,3 +165,50 @@ def test_invalid_parameter_value_is_usage_error(tmp_path, capsys):
     cfg.write_text("experiment = symmetry\ntrials = not-a-number\n")
     assert run_main("--config", cfg) == 2
     assert "bad value" in capsys.readouterr().err
+
+
+def test_threads_config_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = symmetry\nthreads = 1\n")
+    assert run_main("--config", cfg) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_empty_spectrum_writes_empty_report_and_fails_check(tmp_path, fmt):
+    cfg = tmp_path / "spectrum.cfg"
+    cfg.write_text("experiment = spectrum\nell_max = 0.5\n")
+    out = tmp_path / f"spectrum.{fmt}"
+    with pytest.warns(UserWarning, match="no angular frequencies"):
+        code = run_main("--config", cfg, "--out", out, "--format", fmt)
+    assert code == 1
+    if fmt == "csv":
+        assert out.read_bytes() == b""
+    else:
+        payload = json.loads(out.read_text())
+        assert payload["rows"] == []
+        assert payload["checks"] == {"spectrum_nonempty": False}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.cfg", out.name]
+
+
+def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"experiment": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    code = run_main("--experiment", "kruskal", "--out", tmp_path / "kr.json",
+                    "--format", "json")
+    assert code == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eigensolver_failure_is_numerical_failure_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "dmrg.cfg"
+    cfg.write_text("experiment = dmrg\ntarget_length = 2\nlocal_dim = 5\n"
+                   "gs_tolerance = 1e-18\n")
+    out = tmp_path / "dmrg.csv"
+    assert run_main("--config", cfg, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "numerical failure" in err
+    assert not out.exists()

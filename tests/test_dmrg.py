@@ -23,7 +23,6 @@ def test_initial_single_site_block():
     assert block.length == 1
     assert np.allclose(block.hamiltonian, np.diag(omega * (np.arange(6) + 0.5)))
     assert np.abs(block.edge_phi - block.edge_phi.T).max() <= 1e-12
-    assert np.abs(block.edge_pi + block.edge_pi.T).max() <= 1e-12  # pi = 1j * edge_pi
 
 
 def test_two_site_block_matches_fock_oracle():

@@ -181,6 +181,8 @@ def test_bessel_rejects_nonpositive_x_and_negative_ell():
         numerics.bessel_K_imag(1.0, -2.0)
     with pytest.raises(ValueError):
         numerics.bessel_K_imag(-0.5, 1.0)
+    with pytest.raises(ValueError, match="both be arrays"):
+        numerics.bessel_K_imag(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def test_bessel_array_paths_agree_with_scalars():
@@ -212,8 +214,3 @@ def test_find_roots_warns_on_shortfall():
         roots = numerics.find_roots(lambda x: x - 2.0, (0.0, 5.0), count=4)
     assert roots.size == 1
 
-
-def test_find_roots_vectorized_matches_scalar():
-    scalar = numerics.find_roots(np.cos, (0.0, 7.0))
-    vector = numerics.find_roots(np.cos, (0.0, 7.0), vectorized=True)
-    assert np.abs(scalar - vector).max() <= 1e-9

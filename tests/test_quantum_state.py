@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,29 @@ def test_entropy_matches_direct_summation():
     p = np.array([0.5, 0.3, 0.2])
     s = qs.von_neumann_entropy(qs.DensityMatrix(np.diag(p)))
     assert abs(s - (-(p * np.log(p)).sum())) <= 1e-12
+
+
+def test_entropy_from_probs_clamps_and_skips_zeros():
+    assert qs.entropy_from_probs(np.array([1.0, 0.0, -1e-17])) == 0.0
+    p = np.array([0.25, 0.75, 0.0])
+    assert qs.entropy_from_probs(p) == -(p[:2] * np.log(p[:2])).sum()
+
+
+def test_bose_entropy_matches_symplectic_form():
+    mpmath = pytest.importorskip("mpmath")
+    for eps in np.geomspace(1e-3, 30.0, 60):
+        with mpmath.workdps(40):
+            nu = mpmath.coth(mpmath.mpf(eps) / 2) / 2
+            ref = float((nu + 0.5) * mpmath.log(nu + 0.5)
+                        - (nu - 0.5) * mpmath.log(nu - 0.5))
+        assert abs(qs.bose_entropy(eps) - ref) <= 1e-12 * ref, eps
+
+
+def test_bose_entropy_large_energy_is_finite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = qs.bose_entropy(1e4)
+    assert np.isfinite(s) and s == 0.0
 
 
 @given(state_dims)

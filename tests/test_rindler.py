@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from entlab import numerics, rindler
 
@@ -154,6 +156,15 @@ def test_mode_entropy_matches_direct_summation():
         p = p[p > 0.0]
         direct = float(-(p * np.log(p)).sum())
         assert abs(direct - rindler.mode_entropy(ell)) <= 1e-10
+
+
+def test_mode_entropy_has_no_overflow_at_high_frequency():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rindler.mode_entropy(200.0) == 0.0
+        # integral of s(ell) over ell: pi^2/3 / (2 pi) = pi/6
+        total, _ = quad(rindler.mode_entropy, 0.0, np.inf)
+    assert abs(total - math.pi / 6.0) <= 1e-10
 
 
 # --- geometric entropy --------------------------------------------------------------
