@@ -57,6 +57,9 @@ class ExperimentConfig:
         merged = dict(defaults)
         for key, raw in self.params.items():
             merged[key] = _coerce(raw, defaults[key], key)
+        for key in EXPERIMENTS[self.experiment].at_least_one:
+            if merged[key] < 1:
+                raise UsageError(f"{key} must be >= 1")
         object.__setattr__(self, "params", merged)
 
     @property
@@ -272,14 +275,12 @@ def _check_modes(rows, params):
 def _run_spectrum(params, rng):
     spectrum = rindler.discrete_spectrum(params["mass"], params["epsilon"],
                                          params["ell_max"])
-    rows = []
-    for n, ell in enumerate(spectrum.ell_values):
-        residual = abs(float(np.atleast_1d(
-            rindler.angular_wave(rindler.AngularMode(ell=ell, mass=params["mass"]),
-                                 params["epsilon"]))[0]))
-        rows.append({"n": n, "ell": float(ell), "residual": residual,
-                     "boltzmann_factor": float(np.exp(-rindler.BETA * ell))})
-    return rows
+    ells = spectrum.ell_values
+    # |K_{i ell}(m epsilon)| in units of the wave's amplitude A(ell)
+    residuals = np.abs(rindler.scaled_wave(ells, params["mass"] * params["epsilon"]))
+    return [{"n": n, "ell": float(ell), "residual": float(residual),
+             "boltzmann_factor": float(np.exp(-rindler.BETA * ell))}
+            for n, (ell, residual) in enumerate(zip(ells, residuals))]
 
 
 def _check_spectrum(rows, params):
@@ -301,10 +302,13 @@ def _run_geom_entropy(params, rng):
 
 
 def _check_geom_entropy(rows, params):
+    if not rows:
+        return {"entropies_nonempty": False}
     ordered = sorted(rows, key=lambda r: -r["epsilon"])
     entropies = [r["entropy"] for r in ordered]
     counts = [r["n_modes"] for r in ordered]
-    return {"entropy_grows_as_regulator_shrinks":
+    return {"entropies_nonempty": True,
+            "entropy_grows_as_regulator_shrinks":
                 all(b > a for a, b in zip(entropies, entropies[1:])),
             "mode_count_nondecreasing":
                 all(b >= a for a, b in zip(counts, counts[1:]))}
@@ -363,16 +367,17 @@ class _Experiment:
     defaults: dict
     runner: callable
     evaluator: callable
+    at_least_one: tuple = ()  # row counts: an empty report checks nothing
 
 
 EXPERIMENTS = {
     "symmetry": _Experiment({"trials": 200, "max_dim": 10},
-                            _run_symmetry, _check_symmetry),
+                            _run_symmetry, _check_symmetry, ("trials",)),
     "growth": _Experiment({"trials": 200, "dim_left": 3, "dim_right": 3},
-                          _run_growth, _check_growth),
+                          _run_growth, _check_growth, ("trials",)),
     "truncation": _Experiment({"states": 50, "dim": 6, "keep": 3,
                                "random_projections": 200},
-                              _run_truncation, _check_truncation),
+                              _run_truncation, _check_truncation, ("states",)),
     "oracle": _Experiment({"n_sites": 2, "mass": 1.0, "fock_cutoff": 20},
                           _run_oracle, _check_oracle),
     "dmrg": _Experiment({"mass": 1.0, "local_dim": 8, "kept_states": 16,
@@ -507,7 +512,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except numerics.EigensolverError as exc:
+    except numerics.NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

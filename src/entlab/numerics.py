@@ -14,21 +14,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.special import k0, loggamma
 
 __all__ = [
     "EigenDecomposition",
     "SingularValueDecomposition",
+    "NumericalError",
     "EigensolverError",
     "RootCountWarning",
     "sym_eig",
     "svd",
     "smallest_eigenpair",
     "bessel_K_imag",
+    "bessel_amplitude",
     "find_roots",
 ]
 
 
-class EigensolverError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical method failed to converge or to meet its accuracy
+    contract."""
+
+
+class EigensolverError(NumericalError):
     """Iterative eigensolver failed to meet its residual contract.
 
     `iterations` is the number of Lanczos steps (operator applications)
@@ -156,18 +164,60 @@ def smallest_eigenpair(
 
 # --- imaginary-order modified Bessel function ------------------------------
 #
-# K_{i ell}(x) = integral_0^inf exp(-x cosh t) cos(ell t) dt.  The integrand
-# is even in t and decays double-exponentially, so the composite trapezoid
-# rule with step halving converges geometrically.  Accumulation is done in
-# extended precision: for large ell the result is exponentially smaller than
-# the integrand (cancellation), and 80-bit arithmetic keeps the noise floor
-# near 1e-19.
+# For x <= 2, K_{i ell}(x) comes from the ascending series of I_{i ell}
+# (DLMF 10.25.2, 10.27.4):
+#
+#     K_{i ell}(x) = -A(ell) Im[e^{i phi} sum_k t_k],
+#     t_0 = 1,  t_k = t_{k-1} (x^2/4) / (k (k + i ell)),
+#     phi = ell ln(x/2) - arg Gamma(1 + i ell),
+#
+# where A(ell) = sqrt(pi / (ell sinh(pi ell))) is the amplitude of the
+# small-x wave (DLMF 10.45).  |t_k| <= (x^2/4)^k / k!^2 and |sum| > 1/2 at
+# x <= 2, so the sum has no cancellation and converges in a dozen terms.
+#
+# For x > 2, K_{i ell}(x) = integral_0^inf exp(-x cosh t) cos(ell t) dt.
+# The integrand is even in t and decays double-exponentially, so the
+# composite trapezoid rule with step halving converges geometrically.
+# Accumulation is done in extended precision: for large ell the result is
+# exponentially smaller than the integrand (cancellation), and 80-bit
+# arithmetic keeps the noise floor near 1e-19.
+
+_SERIES_X_MAX = 2.0
+_SERIES_REL_TOL = 1e-17
+# K_{i ell} - K_0 = O(ell^2), below double precision for ell < 1e-8
+_ZERO_ORDER = 1e-8
 
 _LOG_TAIL_CUT = float(np.log(1e18))
 _QUAD_REL_TOL = 1e-10
 _QUAD_ABS_FLOOR = 1e-16
 _MAX_DOUBLINGS = 24
 _CHUNK = 2048  # caps the (batch x grid) work matrix at ~100 MB
+
+
+def bessel_amplitude(ell):
+    """Amplitude A(ell) = sqrt(pi / (ell sinh(pi ell))) of the small-x wave,
+    K_{i ell}(x) ~ -A(ell) sin(ell ln(x/2) - arg Gamma(1 + i ell)) as x -> 0.
+
+    Written in e^{-pi ell} so that it never overflows; infinite at ell = 0.
+    """
+    ell = np.asarray(ell, dtype=float)
+    with np.errstate(divide="ignore"):
+        return (np.sqrt(2.0 * np.pi / (ell * -np.expm1(-2.0 * np.pi * ell)))
+                * np.exp(-0.5 * np.pi * ell))
+
+
+def _series_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Ascending series at paired 1-d ells (>= _ZERO_ORDER) and xs (<= 2)."""
+    q = 0.25 * xs * xs
+    term = np.ones(xs.shape, dtype=complex)
+    total = term.copy()
+    k = 0
+    while np.any(np.abs(term) > _SERIES_REL_TOL * np.abs(total)):
+        k += 1
+        term = term * q / (k * (k + 1j * ells))
+        total += term
+    phase = ells * np.log(0.5 * xs) - loggamma(1.0 + 1j * ells).imag
+    return -bessel_amplitude(ells) * (np.exp(1j * phase) * total).imag
 
 
 def _upper_limit(x_min: float) -> float:
@@ -208,7 +258,7 @@ def _trapezoid_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
         if np.all(err <= bound):
             break
     else:
-        raise RuntimeError("Bessel quadrature did not converge")
+        raise NumericalError("Bessel quadrature did not converge")
     return estimate.astype(np.float64)
 
 
@@ -216,7 +266,8 @@ def bessel_K_imag(ell, x):
     """Modified Bessel function of imaginary order, K_{i ell}(x), real-valued.
 
     Requires x > 0 and ell >= 0.  One argument may be a 1-d array while the
-    other is scalar; the quadrature grid is then shared across the batch.
+    other is scalar.  Points with x <= 2 use the ascending series; the rest
+    share one quadrature grid per batch.
     """
     ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -234,19 +285,23 @@ def bessel_K_imag(ell, x):
     scalar = np.isscalar(ell) or getattr(ell, "ndim", 1) == 0
     scalar = scalar and (np.isscalar(x) or getattr(x, "ndim", 1) == 0)
 
-    if x_arr.size == 1:
-        out = np.concatenate([
-            _trapezoid_K(ell_arr[i:i + _CHUNK], x_arr)[:, 0]
-            for i in range(0, ell_arr.size, _CHUNK)])
-        return float(out[0]) if scalar else out
-    out = np.concatenate([
-        _trapezoid_K(ell_arr, x_arr[i:i + _CHUNK])[0, :]
-        for i in range(0, x_arr.size, _CHUNK)])
+    ells, xs = np.broadcast_arrays(ell_arr, x_arr)
+    out = k0(xs)
+    series = (xs <= _SERIES_X_MAX) & (ells >= _ZERO_ORDER)
+    out[series] = _series_K(ells[series], xs[series])
+    far = np.flatnonzero(xs > _SERIES_X_MAX)
+    for i in range(0, far.size, _CHUNK):
+        chunk = far[i:i + _CHUNK]
+        if x_arr.size == 1:
+            out[chunk] = _trapezoid_K(ell_arr[chunk], x_arr)[:, 0]
+        else:
+            out[chunk] = _trapezoid_K(ell_arr, x_arr[chunk])[0, :]
     return float(out[0]) if scalar else out
 
 
 _SCAN_POINTS_PER_UNIT = 1000.0
 _ROOT_XTOL = 1e-12
+_MAX_BISECTIONS = 200
 
 
 def find_roots(
@@ -259,10 +314,11 @@ def find_roots(
 
     `f` must accept a 1-d array and return the values elementwise.  Scans
     the bracket for sign changes (10^3 points per unit length) and bisects
-    each one to 1e-12 relative.  Returned roots satisfy |f(r)| <= f_tol and
-    carry a sign change in their surrounding sub-bracket.  If `count` is
-    given and fewer sign changes are found, a RootCountWarning is issued and
-    the roots found are returned.
+    all of them in lock-step, one call of `f` per step, each to 1e-12
+    relative.  Returned roots satisfy |f(r)| <= f_tol and carry a sign
+    change in their surrounding sub-bracket.  If `count` is given and fewer
+    sign changes are found, a RootCountWarning is issued and the roots found
+    are returned.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -272,38 +328,32 @@ def find_roots(
     values = np.asarray(f(grid), dtype=float)
     _require_finite(values, "f(scan grid)")
 
-    roots: list[float] = []
-    exact = grid[values == 0.0]
-    roots.extend(float(g) for g in exact)
-
     sign = np.sign(values)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = float(values[i])
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = float(f(np.array([mid]))[0])
-            if fm == 0.0:
-                a = b = mid
-                break
-            if np.sign(fm) == np.sign(fa):
-                a, fa = mid, fm
-            else:
-                b = mid
-            if b - a <= _ROOT_XTOL * max(1.0, abs(b)):
-                break
-        r = 0.5 * (a + b)
-        fr = float(f(np.array([r]))[0])
-        if abs(fr) <= f_tol:
-            roots.append(r)
+    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+    a, b, fa = grid[flips], grid[flips + 1], values[flips]
+    active = np.arange(flips.size)
+    for _ in range(_MAX_BISECTIONS):
+        if active.size == 0:
+            break
+        mid = 0.5 * (a[active] + b[active])
+        fm = np.asarray(f(mid), dtype=float)
+        same = np.sign(fm) == np.sign(fa[active])
+        # an exact zero closes its bracket onto the midpoint
+        a[active] = np.where(same | (fm == 0.0), mid, a[active])
+        b[active] = np.where(same, b[active], mid)
+        fa[active] = np.where(same, fm, fa[active])
+        width = b[active] - a[active]
+        active = active[width > _ROOT_XTOL * np.maximum(1.0, np.abs(b[active]))]
+    r = 0.5 * (a + b)
+    if r.size:
+        r = r[np.abs(np.asarray(f(r), dtype=float)) <= f_tol]
+    roots = np.sort(np.concatenate([grid[values == 0.0], r]))
 
-    roots.sort()
     merged: list[float] = []
     step = (hi - lo) / n_scan
-    for r in roots:
-        if not merged or r - merged[-1] > 0.5 * step:
-            merged.append(r)
+    for root in roots:
+        if not merged or root - merged[-1] > 0.5 * step:
+            merged.append(float(root))
     if count is not None and len(merged) < count:
         warnings.warn(
             f"found {len(merged)} roots, {count} requested", RootCountWarning)

@@ -25,6 +25,7 @@ __all__ = [
     "KruskalPoint",
     "angular_wave",
     "classify_turning_point",
+    "scaled_wave",
     "discrete_spectrum",
     "thermal_weights",
     "mode_entropy",
@@ -35,6 +36,8 @@ __all__ = [
 
 BETA = 2.0 * math.pi  # inverse temperature of the half-space state
 _RESIDUAL_TOL = 1e-8
+# A(ell) ~ e^{-pi ell/2} leaves the normal double range near ell = 451
+_ELL_MAX = 400.0
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,13 @@ def classify_turning_point(mode: AngularMode, resolution: int = 1000) -> Turning
     )
 
 
+def scaled_wave(ell, x):
+    """K_{i ell}(x) / A(ell): the wave in units of its small-x amplitude
+    A(ell) = sqrt(pi / (ell sinh(pi ell))), a function of size one at every
+    ell; zero at ell = 0, where A is infinite."""
+    return numerics.bessel_K_imag(ell, x) / numerics.bessel_amplitude(ell)
+
+
 def discrete_spectrum(
     mass: float,
     epsilon: float,
@@ -146,17 +156,19 @@ def discrete_spectrum(
     """Discrete angular frequencies: the roots of ell -> K_{i ell}(m epsilon)
     in (0, ell_max], ascending.
 
-    Every root re-evaluates to |K| <= 1e-8.  An empty spectrum (no roots in
-    range) is returned with a warning.
+    Every root re-evaluates to |K_{i ell}(m epsilon)| <= 1e-8 A(ell) (see
+    `scaled_wave`); numerics.NumericalError is raised otherwise.  An empty
+    spectrum (no roots in range) is returned with a warning.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if ell_max <= 0.0:
-        raise ValueError("ell_max must be positive")
+    if not 0.0 < ell_max <= _ELL_MAX:
+        raise ValueError(f"ell_max must be in (0, {_ELL_MAX:g}]: K_{{i ell}} "
+                         "underflows double precision above")
     x0 = mass * epsilon
 
     def boundary(ell):
-        return numerics.bessel_K_imag(ell, x0)
+        return scaled_wave(ell, x0)
 
     lo = min(1e-4, ell_max / 2.0)
     roots = numerics.find_roots(boundary, (lo, ell_max), f_tol=_RESIDUAL_TOL)
@@ -164,10 +176,10 @@ def discrete_spectrum(
         warnings.warn(
             f"no angular frequencies below ell_max={ell_max} at "
             f"epsilon={epsilon}", numerics.RootCountWarning)
-    residuals = np.abs(numerics.bessel_K_imag(roots, x0)) if roots.size else np.array([])
-    if roots.size and residuals.max() > _RESIDUAL_TOL:
-        raise RuntimeError(
-            f"root residual {residuals.max():.3e} above {_RESIDUAL_TOL}")
+    residual = float(np.abs(boundary(roots)).max(initial=0.0))
+    if residual > _RESIDUAL_TOL:
+        raise numerics.NumericalError(
+            f"root residual {residual:.3e} above {_RESIDUAL_TOL} amplitude units")
     return AngularSpectrum(epsilon=epsilon, mass=mass, ell_values=roots)
 
 

@@ -212,3 +212,36 @@ def test_eigensolver_failure_is_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "numerical failure" in err
     assert not out.exists()
+
+
+def test_bessel_failure_is_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failing(ell, x):
+        raise cli.numerics.NumericalError("Bessel quadrature did not converge")
+
+    monkeypatch.setattr(cli.numerics, "bessel_K_imag", failing)
+    out = tmp_path / "spectrum.csv"
+    assert run_main("--experiment", "spectrum", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "numerical failure" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("symmetry", "trials"), ("growth", "trials"), ("truncation", "states")])
+def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment = {experiment}\n{key} = 0\n")
+    out = tmp_path / "rows.csv"
+    assert run_main("--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err.strip() == f"error: {key} must be >= 1"
+    assert not out.exists()
+
+
+def test_geom_entropy_without_regulators_fails_check(tmp_path):
+    cfg = tmp_path / "ge.cfg"
+    cfg.write_text("experiment = geom-entropy\nepsilons =\n")
+    out = tmp_path / "ge.json"
+    assert run_main("--config", cfg, "--out", out, "--format", "json") == 1
+    payload = json.loads(out.read_text())
+    assert payload["rows"] == []
+    assert payload["checks"] == {"entropies_nonempty": False}

@@ -185,6 +185,43 @@ def test_bessel_rejects_nonpositive_x_and_negative_ell():
         numerics.bessel_K_imag(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
+def amplitude_units(ell):
+    # errors of K_{i ell} in units of its size A(ell); K_0 is compared absolutely
+    return float(numerics.bessel_amplitude(ell)) if ell > 0 else 1.0
+
+
+def test_bessel_series_matches_mpmath_in_amplitude_units():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for ell in (0.0, 1e-4, 0.3, 1.0, 8.0, 19.99, 40.0):
+            for x in (1e-6, 1e-4, 0.0125, 0.1, 1.0, 2.0):
+                ref = float(mpmath.besselk(1j * mpmath.mpf(ell), mpmath.mpf(x)).real)
+                got = numerics.bessel_K_imag(ell, x)
+                assert abs(got - ref) <= 1e-12 * amplitude_units(ell), (ell, x)
+
+
+@pytest.mark.parametrize("ell", [0.5, 8.0])
+def test_bessel_series_meets_quadrature_at_seam(ell):
+    at_seam = numerics.bessel_K_imag(ell, 2.0)
+    above = numerics.bessel_K_imag(ell, float(np.nextafter(2.0, 3.0)))
+    assert abs(at_seam - above) <= 1e-10 * amplitude_units(ell)
+
+
+def test_bessel_amplitude_is_finite_at_high_order():
+    with np.errstate(all="raise"):
+        amp = numerics.bessel_amplitude(np.array([1e-3, 1.0, 200.0]))
+    expected = [np.sqrt(np.pi / (ell * np.sinh(np.pi * ell))) for ell in (1e-3, 1.0)]
+    assert np.abs(amp[:2] / expected - 1.0).max() <= 1e-14
+    assert 0.0 < amp[2] < 1e-130
+    assert numerics.bessel_amplitude(0.0) == np.inf
+
+
+def test_bessel_quadrature_failure_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_DOUBLINGS", 0)
+    with pytest.raises(numerics.NumericalError, match="quadrature"):
+        numerics.bessel_K_imag(8.0, 5.0)
+
+
 def test_bessel_array_paths_agree_with_scalars():
     ells = np.array([0.5, 2.0, 7.0])
     batch = numerics.bessel_K_imag(ells, 1.3)
@@ -207,6 +244,43 @@ def test_find_roots_sine():
 def test_find_roots_linear():
     roots = numerics.find_roots(lambda x: x - 2.0, (0.0, 5.0))
     assert roots.size == 1 and abs(roots[0] - 2.0) <= 1e-9
+
+
+def bisect_one_bracket_at_a_time(f, lo, hi, f_tol=1e-8):
+    """Reference: the same scan, then each bracket bisected on its own with
+    scalar calls."""
+    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) * 1000.0)) + 1)
+    values = f(grid)
+    roots = list(grid[values == 0.0])
+    for i in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
+        a, b, fa = grid[i], grid[i + 1], values[i]
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            fm = f(np.array([mid]))[0]
+            if fm == 0.0:
+                a = b = mid
+                break
+            if np.sign(fm) == np.sign(fa):
+                a, fa = mid, fm
+            else:
+                b = mid
+            if b - a <= 1e-12 * max(1.0, abs(b)):
+                break
+        r = 0.5 * (a + b)
+        if abs(f(np.array([r]))[0]) <= f_tol:
+            roots.append(r)
+    return np.sort(roots)
+
+
+@pytest.mark.parametrize("f, bracket", [
+    (lambda x: np.sin(7.0 * x) * (x - 0.5), (0.1, 3.0)),
+    (lambda x: np.cos(x * x), (0.05, 9.0)),
+    (lambda x: x - 2.0, (0.0, 5.0)),
+])
+def test_find_roots_matches_one_bracket_at_a_time(f, bracket):
+    lockstep = numerics.find_roots(f, bracket)
+    assert lockstep.size >= 1
+    assert np.array_equal(lockstep, bisect_one_bracket_at_a_time(f, *bracket))
 
 
 def test_find_roots_warns_on_shortfall():

@@ -106,6 +106,52 @@ def test_halving_regulator_adds_roots():
     assert len(fine) > len(coarse)
 
 
+def mpmath_root(seed, x=0.1):
+    """40-digit root of e^{pi ell/2} K_{i ell}(x) nearest the seed."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        f = lambda ell: (mpmath.exp(mpmath.pi * ell / 2)
+                         * mpmath.besselk(1j * ell, mpmath.mpf(x))).real
+        return float(mpmath.findroot(f, mpmath.mpf(seed)))
+
+
+def test_top_root_matches_mpmath():
+    top = rindler.discrete_spectrum(1.0, 0.1, 20.0).ell_values[-1]
+    reference = mpmath_root(19.9867)
+    assert abs(reference - 19.986700481) <= 1e-9
+    assert abs(top - reference) <= 1e-9
+
+
+def test_spectrum_to_ell_40_matches_mpmath():
+    ells = rindler.discrete_spectrum(1.0, 0.1, 40.0).ell_values
+    assert ells.size == 72
+    for index, seed in [(0, 1.1419), (20, 14.0544), (40, 24.6227), (71, 39.7047)]:
+        assert abs(ells[index] - mpmath_root(seed)) <= 1e-9, index
+    assert abs(ells[-1] - 39.704656997348) <= 1e-9
+
+
+def test_spectrum_residual_binds_in_amplitude_units():
+    ells = rindler.discrete_spectrum(1.0, 0.1, 20.0).ell_values
+    scaled = np.abs(rindler.scaled_wave(ells, 0.1))
+    assert scaled.max() <= 1e-8
+    # the raw K at the top root is below any absolute 1e-8 already
+    off = rindler.scaled_wave(ells[-1] + 1e-6, 0.1)
+    assert abs(off) > 1e-7 and abs(numerics.bessel_K_imag(ells[-1] + 1e-6, 0.1)) < 1e-8
+
+
+def test_spectrum_to_ell_200_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ells = rindler.discrete_spectrum(1.0, 0.1, 200.0).ell_values
+    assert np.all(np.diff(ells) > 0.0) and 199.0 < ells[-1] <= 200.0
+
+
+def test_root_residual_failure_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(numerics, "find_roots", lambda *a, **k: np.array([1.5]))
+    with pytest.raises(numerics.NumericalError, match="root residual"):
+        rindler.discrete_spectrum(1.0, 0.1, 20.0)
+
+
 def test_empty_spectrum_is_flagged():
     with pytest.warns(numerics.RootCountWarning):
         spectrum = rindler.discrete_spectrum(1.0, 0.5, 0.5)
@@ -117,6 +163,8 @@ def test_spectrum_validation():
         rindler.discrete_spectrum(1.0, -0.1, 5.0)
     with pytest.raises(ValueError):
         rindler.discrete_spectrum(1.0, 0.1, 0.0)
+    with pytest.raises(ValueError, match="underflows"):
+        rindler.discrete_spectrum(1.0, 0.1, 500.0)
 
 
 # --- thermal weights ------------------------------------------------------------
