@@ -96,8 +96,6 @@ def _coerce(raw, default, key):
         return raw
     text = str(raw)
     try:
-        if isinstance(default, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
@@ -225,8 +223,7 @@ def _run_dmrg(params, rng):
                              kept_states=params["kept_states"],
                              target_length=params["target_length"],
                              mass=params["mass"],
-                             gs_tolerance=params["gs_tolerance"],
-                             max_iterations=params["max_iterations"])
+                             gs_tolerance=params["gs_tolerance"])
     rows = []
     for it in dmrg.run(config):
         oracle_energy, oracle_entropy = _dmrg_oracle(it.chain_length, params["mass"])
@@ -265,10 +262,9 @@ def _check_modes(rows, params):
     x_star = rows[0]["turning_point"]
     below = np.array([r["wave"] for r in rows if r["x"] < x_star])
     above = np.array([r["wave"] for r in rows if r["x"] > x_star])
-    changes = lambda vals: int(np.sum(np.sign(vals)[:-1] * np.sign(vals)[1:] < 0))
-    checks = {"decays_above_turning_point": changes(above) == 0}
+    checks = {"decays_above_turning_point": rindler.sign_changes(above) == 0}
     if params["ell"] >= 2.0:
-        checks["oscillates_below_turning_point"] = changes(below) >= 1
+        checks["oscillates_below_turning_point"] = rindler.sign_changes(below) >= 1
     return checks
 
 
@@ -381,8 +377,7 @@ EXPERIMENTS = {
     "oracle": _Experiment({"n_sites": 2, "mass": 1.0, "fock_cutoff": 20},
                           _run_oracle, _check_oracle),
     "dmrg": _Experiment({"mass": 1.0, "local_dim": 8, "kept_states": 16,
-                         "target_length": 20, "gs_tolerance": 1e-10,
-                         "max_iterations": 200},
+                         "target_length": 20, "gs_tolerance": 1e-10},
                         _run_dmrg, _check_dmrg),
     "modes": _Experiment({"ell": 8.0, "mass": 1.0, "samples": 600, "x_max": 30.0},
                          _run_modes, _check_modes),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numerics
-from .harmonic_chain import DENSE_LIMIT, oscillator_ops
+from .harmonic_chain import oscillator_ops
 from .quantum_state import BipartiteState, entropy_from_probs, reduced_density_left
 
 __all__ = [
@@ -38,8 +38,6 @@ class DmrgConfig:
     target_length: int = 20
     mass: float = 1.0
     gs_tolerance: float = 1e-10
-    max_iterations: int = 200
-    initial_block_sites: int = 1
 
     def __post_init__(self):
         if self.local_dim < 2:
@@ -48,12 +46,6 @@ class DmrgConfig:
             raise ValueError("kept_states must be >= 1")
         if self.target_length < 2 or self.target_length % 2:
             raise ValueError("target_length must be a positive even integer")
-        if self.initial_block_sites < 1:
-            raise ValueError("initial_block_sites must be >= 1")
-        if self.local_dim ** self.initial_block_sites > DENSE_LIMIT:
-            raise ValueError(
-                f"initial block basis {self.local_dim}^{self.initial_block_sites} "
-                f"exceeds dense limit {DENSE_LIMIT}")
 
     @property
     def site_frequency(self) -> float:
@@ -99,7 +91,6 @@ class Superblock:
 
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
-    coupling: float = 1.0
 
     @property
     def block_dim(self) -> int:
@@ -113,21 +104,14 @@ class Superblock:
         n = self.block_dim
         m = vec.reshape(n, n)
         out = self.hamiltonian @ m + m @ self.hamiltonian
-        if self.coupling != 0.0:
-            out = out - self.coupling * (self.edge_phi @ m @ self.edge_phi)
-        return out.ravel()
+        return (out - self.edge_phi @ m @ self.edge_phi).ravel()
 
     def dense(self) -> np.ndarray:
         n2 = self.dim
         h = np.kron(self.hamiltonian, np.eye(self.block_dim))
         h += np.kron(np.eye(self.block_dim), self.hamiltonian)
-        h -= self.coupling * np.kron(self.edge_phi, self.edge_phi)
+        h -= np.kron(self.edge_phi, self.edge_phi)
         return h.reshape(n2, n2)
-
-
-def _single_site(config: DmrgConfig) -> DmrgBlock:
-    h, phi = oscillator_ops(config.site_frequency, config.local_dim)
-    return DmrgBlock(length=1, hamiltonian=h, edge_phi=phi)
 
 
 def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
@@ -145,25 +129,19 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
 
 
 def init_block(config: DmrgConfig) -> DmrgBlock:
-    """Exact block of `initial_block_sites` sites in the truncated Fock
-    basis (no renormalization yet)."""
-    block = _single_site(config)
-    for _ in range(config.initial_block_sites - 1):
-        block = _enlarge(block, config)
-    return block
+    """Exact one-site block in the truncated Fock basis (White's start; no
+    renormalization yet)."""
+    h, phi = oscillator_ops(config.site_frequency, config.local_dim)
+    return DmrgBlock(length=1, hamiltonian=h, edge_phi=phi)
 
 
-def form_superblock(block: DmrgBlock, coupling: float = 1.0) -> Superblock:
-    """Reflect the block through the origin and couple the two edge sites.
-
-    `coupling` scales the cross term (0 gives two uncoupled copies, used in
-    tests)."""
+def form_superblock(block: DmrgBlock) -> Superblock:
+    """Reflect the block through the origin and couple the two edge sites."""
     if block.basis_size ** 2 > _SUPERBLOCK_LIMIT:
         raise ValueError(
             f"superblock dimension {block.basis_size ** 2} exceeds limit "
             f"{_SUPERBLOCK_LIMIT}")
-    return Superblock(hamiltonian=block.hamiltonian, edge_phi=block.edge_phi,
-                      coupling=coupling)
+    return Superblock(hamiltonian=block.hamiltonian, edge_phi=block.edge_phi)
 
 
 def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
@@ -221,13 +199,11 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
 
 
 def run(config: DmrgConfig) -> list[DmrgIterate]:
-    """Grow the chain until the superblock reaches target_length (or the
-    iteration cap), recording one iterate per step."""
+    """Grow the chain until the superblock reaches target_length, recording
+    one iterate per step; each step adds two sites."""
     block = init_block(config)
     iterates: list[DmrgIterate] = []
-    while len(iterates) < config.max_iterations:
+    while 2 * block.length <= config.target_length:
         block, iterate = dmrg_step(block, config)
         iterates.append(iterate)
-        if iterate.chain_length >= config.target_length:
-            break
     return iterates

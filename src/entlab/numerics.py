@@ -8,7 +8,6 @@ All functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,7 +47,7 @@ class EigensolverError(NumericalError):
 
 
 class RootCountWarning(UserWarning):
-    """Fewer sign changes found than roots requested."""
+    """A root search found no roots."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,13 @@ def svd(matrix: np.ndarray) -> SingularValueDecomposition:
 # Deterministic start vector seed for the iterative solver; any fixed value
 # works, it only must not be orthogonal to the ground state generically.
 _START_SEED = 0x5EED
+_MAX_RESTARTS = 20000
 
 
 def smallest_eigenpair(
     apply: Callable[[np.ndarray], np.ndarray],
     dim: int,
     tol: float = 1e-10,
-    max_iterations: int = 20000,
     v0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and eigenvector of a real self-adjoint operator.
@@ -117,8 +116,7 @@ def smallest_eigenpair(
     `apply` maps a vector of length `dim` to H @ v.  Small problems fall back
     to a dense solve; larger ones use a Lanczos iteration whose result is
     verified against the residual contract ||H v - E v|| <= tol and re-run
-    tighter if needed, at most three attempts of `max_iterations` restarts
-    each.
+    tighter if needed, at most three attempts of 20000 restarts each.
 
     Raises EigensolverError on non-convergence.
     """
@@ -145,10 +143,10 @@ def smallest_eigenpair(
     for attempt in range(1, 4):
         try:
             vals, vecs = eigsh(op, k=1, which="SA", v0=v0, tol=arpack_tol,
-                               maxiter=max_iterations)
+                               maxiter=_MAX_RESTARTS)
         except ArpackNoConvergence as exc:
             raise EigensolverError(
-                f"Lanczos iteration did not converge within {max_iterations} "
+                f"Lanczos iteration did not converge within {_MAX_RESTARTS} "
                 f"restarts on attempt {attempt}", applications) from exc
         value = float(vals[0])
         vector = vecs[:, 0]
@@ -301,24 +299,18 @@ def bessel_K_imag(ell, x):
 
 _SCAN_POINTS_PER_UNIT = 1000.0
 _ROOT_XTOL = 1e-12
+_ROOT_F_TOL = 1e-8
 _MAX_BISECTIONS = 200
 
 
-def find_roots(
-    f: Callable,
-    bracket: Sequence[float],
-    count: int | None = None,
-    f_tol: float = 1e-8,
-) -> np.ndarray:
+def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
     """Roots of a continuous function on an interval, ascending.
 
     `f` must accept a 1-d array and return the values elementwise.  Scans
     the bracket for sign changes (10^3 points per unit length) and bisects
     all of them in lock-step, one call of `f` per step, each to 1e-12
-    relative.  Returned roots satisfy |f(r)| <= f_tol and carry a sign
-    change in their surrounding sub-bracket.  If `count` is given and fewer
-    sign changes are found, a RootCountWarning is issued and the roots found
-    are returned.
+    relative.  Every returned root satisfies |f(r)| <= 1e-8; a sign change
+    that does not close onto such a root (a jump) raises NumericalError.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -346,7 +338,12 @@ def find_roots(
         active = active[width > _ROOT_XTOL * np.maximum(1.0, np.abs(b[active]))]
     r = 0.5 * (a + b)
     if r.size:
-        r = r[np.abs(np.asarray(f(r), dtype=float)) <= f_tol]
+        residual = np.abs(np.asarray(f(r), dtype=float))
+        bad = np.flatnonzero(~(residual <= _ROOT_F_TOL))
+        if bad.size:
+            raise NumericalError(
+                f"sign change at {r[bad[0]]:.12g} is not a root: "
+                f"|f| = {residual[bad[0]]:.3e} above {_ROOT_F_TOL}")
     roots = np.sort(np.concatenate([grid[values == 0.0], r]))
 
     merged: list[float] = []
@@ -354,7 +351,4 @@ def find_roots(
     for root in roots:
         if not merged or root - merged[-1] > 0.5 * step:
             merged.append(float(root))
-    if count is not None and len(merged) < count:
-        warnings.warn(
-            f"found {len(merged)} roots, {count} requested", RootCountWarning)
     return np.array(merged)

@@ -25,6 +25,7 @@ __all__ = [
     "KruskalPoint",
     "angular_wave",
     "classify_turning_point",
+    "sign_changes",
     "scaled_wave",
     "discrete_spectrum",
     "thermal_weights",
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 BETA = 2.0 * math.pi  # inverse temperature of the half-space state
-_RESIDUAL_TOL = 1e-8
+_CENSUS_SAMPLES = 1000  # per region
 # A(ell) ~ e^{-pi ell/2} leaves the normal double range near ell = 451
 _ELL_MAX = 400.0
 
@@ -57,16 +58,6 @@ class AngularMode:
     @property
     def turning_point(self) -> float:
         return self.ell / self.mass
-
-    @property
-    def normalization(self) -> float:
-        """Canonical-commutator normalization 1/sqrt(2 sinh(pi ell)).
-
-        Recorded as metadata; infinite in the ell -> 0 limit.
-        """
-        if self.ell == 0.0:
-            return math.inf
-        return 1.0 / math.sqrt(2.0 * math.sinh(math.pi * self.ell))
 
 
 @dataclass(frozen=True)
@@ -110,28 +101,27 @@ def angular_wave(mode: AngularMode, x) -> float | np.ndarray:
     return numerics.bessel_K_imag(mode.ell, mode.mass * x_arr)
 
 
-def _count_sign_changes(values: np.ndarray) -> int:
+def sign_changes(values: np.ndarray) -> int:
+    """Number of sign changes in a sequence of values, skipping exact
+    zeros."""
     s = np.sign(values)
     s = s[s != 0.0]
     return int(np.sum(s[:-1] * s[1:] < 0))
 
 
-def classify_turning_point(mode: AngularMode, resolution: int = 1000) -> TurningPointCensus:
+def classify_turning_point(mode: AngularMode) -> TurningPointCensus:
     """Census of sign changes on both sides of the turning point
-    x* = ell/mass, from dense sampling at the given resolution (points per
-    region, >= 1000) up to x* + 22/mass."""
-    if resolution < 1000:
-        raise ValueError("resolution must be at least 1000 points")
+    x* = ell/mass, from 1000 samples per region up to x* + 22/mass."""
+    n = _CENSUS_SAMPLES
     x_star = mode.turning_point
     x_max = x_star + 22.0 / mode.mass
 
     osc_changes = 0
     if x_star > 0.0:
-        lo = x_star / resolution
-        grid = np.linspace(lo, x_star, resolution)
-        osc_changes = _count_sign_changes(angular_wave(mode, grid))
-    grid = np.linspace(x_star + (x_max - x_star) / resolution, x_max, resolution)
-    decay_changes = _count_sign_changes(angular_wave(mode, grid))
+        grid = np.linspace(x_star / n, x_star, n)
+        osc_changes = sign_changes(angular_wave(mode, grid))
+    grid = np.linspace(x_star + (x_max - x_star) / n, x_max, n)
+    decay_changes = sign_changes(angular_wave(mode, grid))
     return TurningPointCensus(
         x_star=x_star,
         oscillatory_interval=(0.0, x_star),
@@ -156,9 +146,10 @@ def discrete_spectrum(
     """Discrete angular frequencies: the roots of ell -> K_{i ell}(m epsilon)
     in (0, ell_max], ascending.
 
-    Every root re-evaluates to |K_{i ell}(m epsilon)| <= 1e-8 A(ell) (see
-    `scaled_wave`); numerics.NumericalError is raised otherwise.  An empty
-    spectrum (no roots in range) is returned with a warning.
+    Every root satisfies |K_{i ell}(m epsilon)| <= 1e-8 A(ell) (see
+    `scaled_wave`); numerics.find_roots raises NumericalError for a sign
+    change that is not a root.  An empty spectrum (no roots in range) is
+    returned with a warning.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -166,20 +157,12 @@ def discrete_spectrum(
         raise ValueError(f"ell_max must be in (0, {_ELL_MAX:g}]: K_{{i ell}} "
                          "underflows double precision above")
     x0 = mass * epsilon
-
-    def boundary(ell):
-        return scaled_wave(ell, x0)
-
     lo = min(1e-4, ell_max / 2.0)
-    roots = numerics.find_roots(boundary, (lo, ell_max), f_tol=_RESIDUAL_TOL)
+    roots = numerics.find_roots(lambda ell: scaled_wave(ell, x0), (lo, ell_max))
     if roots.size == 0:
         warnings.warn(
             f"no angular frequencies below ell_max={ell_max} at "
             f"epsilon={epsilon}", numerics.RootCountWarning)
-    residual = float(np.abs(boundary(roots)).max(initial=0.0))
-    if residual > _RESIDUAL_TOL:
-        raise numerics.NumericalError(
-            f"root residual {residual:.3e} above {_RESIDUAL_TOL} amplitude units")
     return AngularSpectrum(epsilon=epsilon, mass=mass, ell_values=roots)
 
 

@@ -132,15 +132,25 @@ def test_dmrg_experiment_and_failing_checks_exit_code(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["checks"]["energy_within_1_percent"] is True
 
-    # an unreached target length must flag the report and exit 1
-    cfg.write_text("experiment = dmrg\ntarget_length = 12\nlocal_dim = 4\n"
-                   "kept_states = 8\nmax_iterations = 2\n")
-    code = run_main("--config", cfg, "--out", tmp_path / "short.json",
+    # a one-state truncation misses the oracle energy: flag the report, exit 1
+    cfg.write_text("experiment = dmrg\ntarget_length = 8\nlocal_dim = 4\n"
+                   "kept_states = 1\n")
+    code = run_main("--config", cfg, "--out", tmp_path / "poor.json",
                     "--format", "json")
     assert code == 1
-    payload = json.loads((tmp_path / "short.json").read_text())
+    payload = json.loads((tmp_path / "poor.json").read_text())
     assert payload["passed"] is False
-    assert payload["checks"]["reached_target_length"] is False
+    assert payload["checks"]["energy_within_1_percent"] is False
+    assert payload["checks"]["reached_target_length"] is True
+
+
+def test_dmrg_max_iterations_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "dmrg.cfg"
+    cfg.write_text("experiment = dmrg\ntarget_length = 12\nlocal_dim = 4\n"
+                   "kept_states = 8\nmax_iterations = 2\n")
+    assert run_main("--config", cfg, "--out", tmp_path / "short.json") == 2
+    assert "max_iterations" in capsys.readouterr().err
+    assert not (tmp_path / "short.json").exists()
 
 
 def test_kruskal_records_rejected_boundary_probe(tmp_path):

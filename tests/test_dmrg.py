@@ -26,19 +26,14 @@ def test_initial_single_site_block():
 
 
 def test_two_site_block_matches_fock_oracle():
-    config = dmrg.DmrgConfig(local_dim=4, mass=1.0, target_length=4,
-                             initial_block_sites=2)
-    block = dmrg.init_block(config)
-    assert block.basis_size == 16
+    # kept_states >= local_dim: the first step truncates nothing
+    config = dmrg.DmrgConfig(local_dim=4, kept_states=4, mass=1.0, target_length=4)
+    block = dmrg.dmrg_step(dmrg.init_block(config), config)[0]
+    assert block.length == 2 and block.basis_size == 16
     block_ground = numerics.sym_eig(block.hamiltonian).values[0]
     v = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
     _, fock_ground = hc.fock_ground_state(v, d=4)
     assert abs(block_ground - fock_ground) <= 1e-10
-
-
-def test_initial_block_respects_dense_limit():
-    with pytest.raises(ValueError, match="dense limit"):
-        dmrg.DmrgConfig(local_dim=10, initial_block_sites=5)
 
 
 # --- superblock ---------------------------------------------------------------------
@@ -46,7 +41,7 @@ def test_initial_block_respects_dense_limit():
 def test_uncoupled_superblock_energy_is_twice_block_energy():
     config = dmrg.DmrgConfig(local_dim=5, mass=0.7, target_length=4)
     block = dmrg.init_block(config)
-    superblock = dmrg.form_superblock(block, coupling=0.0)
+    superblock = dmrg.Superblock(block.hamiltonian, np.zeros_like(block.edge_phi))
     energy, _ = numerics.smallest_eigenpair(superblock.matvec, superblock.dim)
     block_energy = numerics.sym_eig(block.hamiltonian).values[0]
     assert abs(energy - 2.0 * block_energy) <= 1e-10

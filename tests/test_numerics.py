@@ -116,10 +116,11 @@ def test_smallest_eigenpair_matches_dense(dim):
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-9
 
 
-def test_smallest_eigenpair_nonconvergence_reports_iterations():
+def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
     m = rand_symmetric(60, np.random.default_rng(2))
+    monkeypatch.setattr(numerics, "_MAX_RESTARTS", 1)
     with pytest.raises(numerics.EigensolverError) as err:
-        numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-14, max_iterations=1)
+        numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-14)
     assert err.value.iterations >= 1
 
 
@@ -236,7 +237,7 @@ def test_bessel_array_paths_agree_with_scalars():
 # --- find_roots ----------------------------------------------------------------
 
 def test_find_roots_sine():
-    roots = numerics.find_roots(np.sin, (0.1, 10.0), count=3)
+    roots = numerics.find_roots(np.sin, (0.1, 10.0))
     assert roots.size == 3
     assert np.abs(roots - np.array([np.pi, 2 * np.pi, 3 * np.pi])).max() <= 1e-9
 
@@ -283,8 +284,8 @@ def test_find_roots_matches_one_bracket_at_a_time(f, bracket):
     assert np.array_equal(lockstep, bisect_one_bracket_at_a_time(f, *bracket))
 
 
-def test_find_roots_warns_on_shortfall():
-    with pytest.warns(numerics.RootCountWarning):
-        roots = numerics.find_roots(lambda x: x - 2.0, (0.0, 5.0), count=4)
-    assert roots.size == 1
+def test_find_roots_rejects_sign_change_that_is_not_a_root():
+    # a jump from 1 to -1 at x = 2 bisects onto 2, where |f| = 1
+    with pytest.raises(numerics.NumericalError, match="sign change at 2 is not a root"):
+        numerics.find_roots(lambda x: np.where(x < 2.0, 1.0, -1.0), (0.0, 5.0))
 
