@@ -42,6 +42,11 @@ class DmrgConfig:
     def __post_init__(self):
         if self.local_dim < 2:
             raise ValueError("local_dim must be >= 2")
+        if self.local_dim ** 2 > _SUPERBLOCK_LIMIT:
+            # the first superblock is local_dim^2; reject before any allocation
+            raise ValueError(
+                f"local_dim {self.local_dim} gives a first superblock of "
+                f"dimension {self.local_dim ** 2}, above limit {_SUPERBLOCK_LIMIT}")
         if self.kept_states < 1:
             raise ValueError("kept_states must be >= 1")
         if self.target_length < 2 or self.target_length % 2:

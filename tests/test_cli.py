@@ -153,6 +153,14 @@ def test_dmrg_max_iterations_key_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "short.json").exists()
 
 
+def test_dmrg_oversized_local_dim_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "dmrg.cfg"
+    cfg.write_text("experiment = dmrg\nlocal_dim = 5000\n")
+    assert run_main("--config", cfg, "--out", tmp_path / "big.json") == 2
+    assert "local_dim 5000" in capsys.readouterr().err
+    assert not (tmp_path / "big.json").exists()
+
+
 def test_kruskal_records_rejected_boundary_probe(tmp_path):
     cfg = tmp_path / "kr.cfg"
     cfg.write_text("experiment = kruskal\npoints = 30\nmasses = 1\n")

@@ -185,6 +185,9 @@ def test_truncation_weight_shrinks_as_kept_states_double():
 def test_config_validation():
     with pytest.raises(ValueError):
         dmrg.DmrgConfig(local_dim=1)
+    # the first superblock is local_dim^2 <= 2^20: rejected before any matrix is built
+    with pytest.raises(ValueError, match="local_dim 1025"):
+        dmrg.DmrgConfig(local_dim=1025)
     with pytest.raises(ValueError):
         dmrg.DmrgConfig(kept_states=0)
     with pytest.raises(ValueError):

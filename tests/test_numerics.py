@@ -247,9 +247,9 @@ def test_find_roots_linear():
     assert roots.size == 1 and abs(roots[0] - 2.0) <= 1e-9
 
 
-def bisect_one_bracket_at_a_time(f, lo, hi, f_tol=1e-8):
+def bisect_one_bracket_at_a_time(f, lo, hi):
     """Reference: the same scan, then each bracket bisected on its own with
-    scalar calls."""
+    scalar calls; a bracket that does not close onto |f| <= 1e-8 raises."""
     grid = np.linspace(lo, hi, int(np.ceil((hi - lo) * 1000.0)) + 1)
     values = f(grid)
     roots = list(grid[values == 0.0])
@@ -268,8 +268,9 @@ def bisect_one_bracket_at_a_time(f, lo, hi, f_tol=1e-8):
             if b - a <= 1e-12 * max(1.0, abs(b)):
                 break
         r = 0.5 * (a + b)
-        if abs(f(np.array([r]))[0]) <= f_tol:
-            roots.append(r)
+        if not abs(f(np.array([r]))[0]) <= 1e-8:
+            raise numerics.NumericalError(f"sign change at {r:.12g} is not a root")
+        roots.append(r)
     return np.sort(roots)
 
 
@@ -286,6 +287,9 @@ def test_find_roots_matches_one_bracket_at_a_time(f, bracket):
 
 def test_find_roots_rejects_sign_change_that_is_not_a_root():
     # a jump from 1 to -1 at x = 2 bisects onto 2, where |f| = 1
+    jump = lambda x: np.where(x < 2.0, 1.0, -1.0)
     with pytest.raises(numerics.NumericalError, match="sign change at 2 is not a root"):
-        numerics.find_roots(lambda x: np.where(x < 2.0, 1.0, -1.0), (0.0, 5.0))
+        numerics.find_roots(jump, (0.0, 5.0))
+    with pytest.raises(numerics.NumericalError, match="sign change at 2 is not a root"):
+        bisect_one_bracket_at_a_time(jump, 0.0, 5.0)
 

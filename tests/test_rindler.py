@@ -76,6 +76,13 @@ def test_census_turning_point_scales_with_mass():
     assert census.oscillatory_sign_changes == int(np.sum(sign[:-1] * sign[1:] < 0))
 
 
+def test_sign_changes_skip_exact_zeros():
+    # a wave that passes through an exact sample zero still crosses once
+    assert rindler.sign_changes(np.array([1.0, 0.0, -1.0])) == 1
+    assert rindler.sign_changes(np.array([1.0, 0.0, 0.0, 2.0])) == 0
+    assert rindler.sign_changes(np.array([-1.0, 2.0, 0.0, -3.0, 4.0])) == 3
+
+
 # --- discrete spectrum ------------------------------------------------------------
 
 def test_spectrum_roots_reevaluate_below_residual():
