@@ -22,7 +22,6 @@ __all__ = [
     "DmrgIterate",
     "Superblock",
     "init_block",
-    "form_superblock",
     "dmrg_step",
     "run",
 ]
@@ -121,10 +120,15 @@ class Superblock:
 
 def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
     """Adjoin one bare site at the origin-facing edge; the enlarged basis is
-    (new site) x (block)."""
+    (new site) x (block).  Raises ValueError, before any matrix is built,
+    when the enlarged block's superblock exceeds the dimension limit."""
     d = config.local_dim
-    h1, phi1 = oscillator_ops(config.site_frequency, d)
     n = block.basis_size
+    if (d * n) ** 2 > _SUPERBLOCK_LIMIT:
+        raise ValueError(
+            f"superblock dimension {(d * n) ** 2} exceeds limit "
+            f"{_SUPERBLOCK_LIMIT}")
+    h1, phi1 = oscillator_ops(config.site_frequency, d)
     ham = (np.kron(h1, np.eye(n))
            + np.kron(np.eye(d), block.hamiltonian)
            - np.kron(phi1, block.edge_phi))
@@ -140,24 +144,17 @@ def init_block(config: DmrgConfig) -> DmrgBlock:
     return DmrgBlock(length=1, hamiltonian=h, edge_phi=phi)
 
 
-def form_superblock(block: DmrgBlock) -> Superblock:
-    """Reflect the block through the origin and couple the two edge sites."""
-    if block.basis_size ** 2 > _SUPERBLOCK_LIMIT:
-        raise ValueError(
-            f"superblock dimension {block.basis_size ** 2} exceeds limit "
-            f"{_SUPERBLOCK_LIMIT}")
-    return Superblock(hamiltonian=block.hamiltonian, edge_phi=block.edge_phi)
-
-
 def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
     """One growth step: solve the superblock, truncate the block basis to the
     kept_states dominant density-matrix eigenstates, adjoin one site.
 
     Returns the enlarged block and the iterate record for the superblock
-    just solved (chain length 2 x block length).
+    just solved (chain length 2 x block length).  When the next superblock
+    would be longer than target_length, nothing would solve it, so the
+    truncated block is returned without the added site.
     """
     n = block.basis_size
-    superblock = form_superblock(block)
+    superblock = Superblock(block.hamiltonian, block.edge_phi)
     energy, psi = numerics.smallest_eigenpair(
         superblock.matvec, superblock.dim, tol=config.gs_tolerance,
         v0=block.warm_start)
@@ -184,6 +181,13 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     truncated = DmrgBlock(length=block.length,
                           hamiltonian=kept_ham,
                           edge_phi=basis.T @ block.edge_phi @ basis)
+    iterate = DmrgIterate(chain_length=2 * block.length,
+                          ground_energy=float(energy),
+                          half_chain_entropy=entropy,
+                          truncation_weight=weight,
+                          kept=kept)
+    if 2 * (block.length + 1) > config.target_length:
+        return truncated, iterate
     enlarged = _enlarge(truncated, config)
 
     # embed the ground state for warm starting the next superblock solve:
@@ -193,14 +197,7 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     kept_psi = basis.T @ matrix @ basis
     warm = np.kron(np.outer(ground_site, ground_site), kept_psi).ravel()
     warm /= np.linalg.norm(warm)
-    enlarged = replace(enlarged, warm_start=warm)
-
-    iterate = DmrgIterate(chain_length=2 * block.length,
-                          ground_energy=float(energy),
-                          half_chain_entropy=entropy,
-                          truncation_weight=weight,
-                          kept=kept)
-    return enlarged, iterate
+    return replace(enlarged, warm_start=warm), iterate
 
 
 def run(config: DmrgConfig) -> list[DmrgIterate]:
@@ -208,7 +205,7 @@ def run(config: DmrgConfig) -> list[DmrgIterate]:
     one iterate per step; each step adds two sites."""
     block = init_block(config)
     iterates: list[DmrgIterate] = []
-    while 2 * block.length <= config.target_length:
+    for _ in range(config.target_length // 2):
         block, iterate = dmrg_step(block, config)
         iterates.append(iterate)
     return iterates

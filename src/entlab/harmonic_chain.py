@@ -36,24 +36,19 @@ DENSE_LIMIT = 4096
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain of n_sites oscillators with the given mass.
-
-    boundary "fixed" clamps the field to zero beyond both ends (keeps the
-    potential positive definite even at mass 0); "open" leaves the ends free,
-    which at mass 0 has a zero mode and is rejected.
+    """Chain of n_sites oscillators with the given mass.  The field is
+    clamped to zero beyond both ends, which keeps the potential positive
+    definite even at mass 0.
     """
 
     n_sites: int
     mass: float = 0.0
-    boundary: str = "fixed"
 
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be >= 1")
         if self.mass < 0.0:
             raise ValueError("mass must be nonnegative")
-        if self.boundary not in ("fixed", "open"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -72,23 +67,15 @@ class GaussianGroundState:
 def build_potential(spec: ChainSpec) -> np.ndarray:
     """Tridiagonal coupling matrix of the discretized chain.
 
-    Diagonal 2 + mass^2 (one less per missing neighbor on open ends),
-    off-diagonal -1.  Rejects a massless open chain (zero mode).
+    Diagonal 2 + mass^2, off-diagonal -1.
     """
     n, m2 = spec.n_sites, spec.mass ** 2
     v = np.zeros((n, n))
     np.fill_diagonal(v, 2.0 + m2)
-    if spec.boundary == "open":
-        v[0, 0] -= 1.0
-        v[-1, -1] -= 1.0
     if n > 1:
         off = np.arange(n - 1)
         v[off, off + 1] = -1.0
         v[off + 1, off] = -1.0
-    if spec.boundary == "open" and spec.mass == 0.0:
-        raise ValueError(
-            "massless open chain has a zero mode; set mass > 0 or use "
-            "boundary='fixed'")
     return v
 
 

@@ -1,6 +1,6 @@
 """Bipartite pure states and the information-theoretic machinery built on
-them: reduced density matrices, von Neumann entropy, Schmidt decomposition,
-fidelity, and optimal low-rank truncation.
+them: reduced density matrices, von Neumann entropy, Schmidt decomposition
+and optimal low-rank truncation.
 
 States are immutable after construction; entropies are in nats.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "bose_entropy",
     "von_neumann_entropy",
     "schmidt",
-    "fidelity",
     "truncate",
     "truncation_distance",
     "evolve_product",
@@ -153,13 +152,6 @@ def schmidt(state: BipartiteState) -> SchmidtDecomposition:
 def _check_same_shape(a, b) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def fidelity(a: BipartiteState, b: BipartiteState) -> float:
-    """Squared overlap |<a|b>|^2 of the two normalized states."""
-    _check_same_shape(a.coeff, b.coeff)
-    overlap = np.vdot(a.coeff, b.coeff)
-    return float(np.clip(abs(overlap) ** 2, 0.0, 1.0))
 
 
 def truncate(state: BipartiteState, m: int) -> tuple[BipartiteState, float]:

@@ -20,23 +20,19 @@ from .quantum_state import bose_entropy
 __all__ = [
     "AngularMode",
     "AngularSpectrum",
-    "TurningPointCensus",
     "SchwarzschildPoint",
     "KruskalPoint",
     "angular_wave",
-    "classify_turning_point",
     "sign_changes",
     "scaled_wave",
     "discrete_spectrum",
     "thermal_weights",
-    "mode_entropy",
     "geometric_entropy",
     "to_kruskal",
     "from_kruskal",
 ]
 
 BETA = 2.0 * math.pi  # inverse temperature of the half-space state
-_CENSUS_SAMPLES = 1000  # per region
 # A(ell) ~ e^{-pi ell/2} leaves the normal double range near ell = 451
 _ELL_MAX = 400.0
 
@@ -82,15 +78,6 @@ class AngularSpectrum:
         return self.ell_values.size
 
 
-@dataclass(frozen=True)
-class TurningPointCensus:
-    x_star: float
-    oscillatory_interval: tuple[float, float]
-    decay_interval: tuple[float, float]
-    oscillatory_sign_changes: int
-    decay_sign_changes: int
-
-
 def angular_wave(mode: AngularMode, x) -> float | np.ndarray:
     """Real angular wave K_{i ell}(mass * x); oscillatory below the turning
     point, exponentially decaying above it.  x must be positive (the
@@ -107,28 +94,6 @@ def sign_changes(values: np.ndarray) -> int:
     s = np.sign(values)
     s = s[s != 0.0]
     return int(np.sum(s[:-1] * s[1:] < 0))
-
-
-def classify_turning_point(mode: AngularMode) -> TurningPointCensus:
-    """Census of sign changes on both sides of the turning point
-    x* = ell/mass, from 1000 samples per region up to x* + 22/mass."""
-    n = _CENSUS_SAMPLES
-    x_star = mode.turning_point
-    x_max = x_star + 22.0 / mode.mass
-
-    osc_changes = 0
-    if x_star > 0.0:
-        grid = np.linspace(x_star / n, x_star, n)
-        osc_changes = sign_changes(angular_wave(mode, grid))
-    grid = np.linspace(x_star + (x_max - x_star) / n, x_max, n)
-    decay_changes = sign_changes(angular_wave(mode, grid))
-    return TurningPointCensus(
-        x_star=x_star,
-        oscillatory_interval=(0.0, x_star),
-        decay_interval=(x_star, x_max),
-        oscillatory_sign_changes=osc_changes,
-        decay_sign_changes=decay_changes,
-    )
 
 
 def scaled_wave(ell, x):
@@ -183,12 +148,6 @@ def thermal_weights(spectrum: AngularSpectrum, n_max: int) -> np.ndarray:
         return np.exp(log_p)
 
 
-def mode_entropy(ell: float) -> float:
-    """Closed-form entropy (nats) of one bosonic mode of frequency ell at
-    inverse temperature 2*pi."""
-    return float(bose_entropy(BETA * ell))
-
-
 def geometric_entropy(spectrum: AngularSpectrum) -> float:
     """Total entropy of the regulated thermal state, summed over modes;
     zero for an empty spectrum and growing as the spectrum gains low-ell
@@ -220,14 +179,6 @@ class SchwarzschildPoint:
 class KruskalPoint:
     u: float
     v: float
-
-    @property
-    def z(self) -> float:
-        return self.u + self.v
-
-    @property
-    def t(self) -> float:
-        return self.u - self.v
 
 
 def to_kruskal(point: SchwarzschildPoint) -> KruskalPoint:

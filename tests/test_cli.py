@@ -141,7 +141,8 @@ def test_dmrg_experiment_and_failing_checks_exit_code(tmp_path):
     payload = json.loads((tmp_path / "poor.json").read_text())
     assert payload["passed"] is False
     assert payload["checks"]["energy_within_1_percent"] is False
-    assert payload["checks"]["reached_target_length"] is True
+    assert set(payload["checks"]) == {"energy_within_1_percent",
+                                      "entropy_within_5_percent"}
 
 
 def test_dmrg_max_iterations_key_is_rejected(tmp_path, capsys):
@@ -245,7 +246,8 @@ def test_bessel_failure_is_numerical_failure_exit_code(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("experiment, key", [
-    ("symmetry", "trials"), ("growth", "trials"), ("truncation", "states")])
+    ("symmetry", "trials"), ("growth", "trials"), ("truncation", "states"),
+    ("modes", "samples"), ("kruskal", "points")])
 def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"experiment = {experiment}\n{key} = 0\n")
@@ -263,3 +265,13 @@ def test_geom_entropy_without_regulators_fails_check(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["rows"] == []
     assert payload["checks"] == {"entropies_nonempty": False}
+
+
+def test_kruskal_without_masses_fails_check(tmp_path):
+    cfg = tmp_path / "kr.cfg"
+    cfg.write_text("experiment = kruskal\nmasses =\n")
+    out = tmp_path / "kr.json"
+    assert run_main("--config", cfg, "--out", out, "--format", "json") == 1
+    payload = json.loads(out.read_text())
+    assert payload["rows"] == []
+    assert payload["checks"] == {"round_trips_nonempty": False}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_uncoupled_superblock_energy_is_twice_block_energy():
 def test_superblock_matches_two_site_fock_oracle():
     config = dmrg.DmrgConfig(local_dim=12, mass=1.0, target_length=4)
     block = dmrg.init_block(config)
-    superblock = dmrg.form_superblock(block)
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     energy, _ = numerics.smallest_eigenpair(superblock.matvec, superblock.dim,
                                             tol=1e-11)
     v = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
@@ -61,7 +63,7 @@ def test_superblock_matches_two_site_fock_oracle():
 def test_superblock_reflection_symmetry():
     config = dmrg.DmrgConfig(local_dim=3, mass=0.5, target_length=4)
     block = dmrg.init_block(config)
-    dense = dmrg.form_superblock(block).dense()
+    dense = dmrg.Superblock(block.hamiltonian, block.edge_phi).dense()
     n = block.basis_size
     swap = dense.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
     assert np.abs(np.linalg.eigvalsh(dense) - np.linalg.eigvalsh(swap)).max() <= 1e-10
@@ -69,7 +71,8 @@ def test_superblock_reflection_symmetry():
 
 def test_superblock_dense_agrees_with_matvec():
     config = dmrg.DmrgConfig(local_dim=3, mass=1.0, target_length=4)
-    superblock = dmrg.form_superblock(dmrg.init_block(config))
+    block = dmrg.init_block(config)
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(superblock.dim)
     assert np.abs(superblock.dense() @ v - superblock.matvec(v)).max() <= 1e-12
@@ -90,7 +93,7 @@ def test_lossless_step_has_zero_truncation_weight():
 def test_density_matrix_spectrum_properties_at_step():
     config = dmrg.DmrgConfig(local_dim=4, kept_states=6, mass=1.0, target_length=8)
     block = dmrg.init_block(config)
-    superblock = dmrg.form_superblock(block)
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     _, psi = numerics.smallest_eigenpair(superblock.matvec, superblock.dim)
     rho = qs.reduced_density_left(qs.BipartiteState(psi.reshape(4, 4)))
     w = np.linalg.eigvalsh(rho.entries)[::-1]
@@ -102,7 +105,7 @@ def test_step_entropy_obeys_block_mirror_symmetry():
     config = dmrg.DmrgConfig(local_dim=5, kept_states=10, mass=0.8, target_length=8)
     block = dmrg.init_block(config)
     block, _ = dmrg.dmrg_step(block, config)
-    superblock = dmrg.form_superblock(block)
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     _, psi = numerics.smallest_eigenpair(superblock.matvec, superblock.dim)
     n = block.basis_size
     state = qs.BipartiteState(psi.reshape(n, n))
@@ -115,7 +118,7 @@ def test_truncation_weight_matches_quantum_state_truncate():
     config = dmrg.DmrgConfig(local_dim=4, kept_states=5, mass=1.0, target_length=12)
     block = dmrg.init_block(config)
     block, _ = dmrg.dmrg_step(block, config)  # basis now 4 * min(5,4) = 16
-    superblock = dmrg.form_superblock(block)
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     _, psi = numerics.smallest_eigenpair(superblock.matvec, superblock.dim,
                                          v0=block.warm_start)
     n = block.basis_size
@@ -180,6 +183,32 @@ def test_truncation_weight_shrinks_as_kept_states_double():
         weights[m] = iterates[-1].truncation_weight
     assert weights[16] <= weights[8] + 1e-12
     assert weights[32] <= weights[16] + 1e-12
+
+
+def test_last_step_builds_no_unsolved_block():
+    # enlarging the 48-state block would build (48 * 48)^2 doubles, 42 MB per
+    # matrix, for a superblock beyond target_length that nothing solves
+    config = dmrg.DmrgConfig(local_dim=48, kept_states=48, target_length=2)
+    tracemalloc.start()
+    try:
+        iterates = dmrg.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [it.chain_length for it in iterates] == [2]
+    assert peak < 16 * 2 ** 20
+
+
+def test_oversized_enlargement_raises_before_building():
+    config = dmrg.DmrgConfig(local_dim=48, kept_states=48, target_length=4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="superblock dimension 5308416 exceeds limit"):
+            dmrg.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_config_validation():

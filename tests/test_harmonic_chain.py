@@ -5,8 +5,8 @@ from entlab import harmonic_chain as hc
 from entlab import quantum_state as qs
 
 
-def chain(n, mass, boundary="fixed"):
-    return hc.build_potential(hc.ChainSpec(n_sites=n, mass=mass, boundary=boundary))
+def chain(n, mass):
+    return hc.build_potential(hc.ChainSpec(n_sites=n, mass=mass))
 
 
 # --- potential -----------------------------------------------------------------
@@ -18,17 +18,6 @@ def test_single_site_fixed_ends():
 def test_three_site_massless_spectrum():
     vals = np.linalg.eigvalsh(chain(3, 0.0))
     assert np.allclose(vals, [2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
-
-
-def test_open_boundary_diagonal():
-    v = chain(4, 0.5, boundary="open")
-    assert v[0, 0] == v[3, 3] == 1.25
-    assert v[1, 1] == v[2, 2] == 2.25
-
-
-def test_massless_open_chain_rejected():
-    with pytest.raises(ValueError, match="zero mode"):
-        chain(4, 0.0, boundary="open")
 
 
 def test_uncoupled_limit_is_diagonal():

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import loggamma
 
 from entlab import numerics, rindler
+from entlab.quantum_state import bose_entropy
 
 
 # --- angular waves -----------------------------------------------------------
@@ -44,36 +45,48 @@ def test_mode_metadata():
 
 
 # --- turning point census -------------------------------------------------------
+#
+# Sign changes of the wave on 1000 samples below the turning point x* = ell/m
+# and on 1000 samples from x* to x* + 22/m above it.
+
+def below_turning_point(mode):
+    x_star = mode.turning_point
+    return rindler.sign_changes(
+        rindler.angular_wave(mode, np.linspace(x_star / 1000, x_star, 1000)))
+
+
+def above_turning_point(mode):
+    x_star = mode.turning_point
+    grid = np.linspace(x_star, x_star + 22.0 / mode.mass, 1001)[1:]
+    return rindler.sign_changes(rindler.angular_wave(mode, grid))
+
 
 def test_census_ell_8():
-    census = rindler.classify_turning_point(rindler.AngularMode(ell=8.0, mass=1.0))
-    assert census.x_star == 8.0
-    assert census.decay_interval[1] == 30.0
-    assert census.oscillatory_sign_changes >= 1
-    assert census.decay_sign_changes == 0
+    mode = rindler.AngularMode(ell=8.0, mass=1.0)
+    assert mode.turning_point == 8.0
+    assert below_turning_point(mode) >= 1
+    assert above_turning_point(mode) == 0
 
 
 def test_census_zero_frequency_has_no_oscillatory_region():
-    census = rindler.classify_turning_point(rindler.AngularMode(ell=0.0, mass=1.0))
-    assert census.x_star == 0.0
-    assert census.oscillatory_sign_changes == 0
-    assert census.decay_sign_changes == 0
+    mode = rindler.AngularMode(ell=0.0, mass=1.0)
+    assert mode.turning_point == 0.0
+    assert above_turning_point(mode) == 0
 
 
 def test_census_counts_grow_with_frequency():
-    low = rindler.classify_turning_point(rindler.AngularMode(ell=8.0, mass=1.0))
-    high = rindler.classify_turning_point(rindler.AngularMode(ell=16.0, mass=1.0))
-    assert high.oscillatory_sign_changes > low.oscillatory_sign_changes
+    low = below_turning_point(rindler.AngularMode(ell=8.0, mass=1.0))
+    high = below_turning_point(rindler.AngularMode(ell=16.0, mass=1.0))
+    assert high > low
 
 
 def test_census_turning_point_scales_with_mass():
-    census = rindler.classify_turning_point(rindler.AngularMode(ell=4.0, mass=2.0))
-    assert census.x_star == 2.0
-    grid = np.linspace(2.0 / 1000, 2.0, 1000)
-    vals = np.asarray(rindler.angular_wave(rindler.AngularMode(ell=4.0, mass=2.0), grid))
-    sign = np.sign(vals)
-    sign = sign[sign != 0]
-    assert census.oscillatory_sign_changes == int(np.sum(sign[:-1] * sign[1:] < 0))
+    heavy = rindler.AngularMode(ell=4.0, mass=2.0)
+    assert heavy.turning_point == 2.0
+    # K_{i ell}(m x): the wave at mass 2 is the mass-1 wave at half the x
+    light = rindler.AngularMode(ell=4.0, mass=1.0)
+    assert below_turning_point(heavy) == below_turning_point(light) >= 1
+    assert above_turning_point(heavy) == 0
 
 
 def test_sign_changes_skip_exact_zeros():
@@ -230,15 +243,15 @@ def test_mode_entropy_matches_direct_summation():
         p = table[0]
         p = p[p > 0.0]
         direct = float(-(p * np.log(p)).sum())
-        assert abs(direct - rindler.mode_entropy(ell)) <= 1e-10
+        assert abs(direct - bose_entropy(rindler.BETA * ell)) <= 1e-10
 
 
 def test_mode_entropy_has_no_overflow_at_high_frequency():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert rindler.mode_entropy(200.0) == 0.0
+        assert bose_entropy(rindler.BETA * 200.0) == 0.0
         # integral of s(ell) over ell: pi^2/3 / (2 pi) = pi/6
-        total, _ = quad(rindler.mode_entropy, 0.0, np.inf)
+        total, _ = quad(lambda ell: bose_entropy(rindler.BETA * ell), 0.0, np.inf)
     assert abs(total - math.pi / 6.0) <= 1e-10
 
 
@@ -252,7 +265,7 @@ def test_geometric_entropy_of_empty_spectrum():
 def test_geometric_entropy_single_mode():
     spectrum = sample_spectrum(0.4)
     assert abs(rindler.geometric_entropy(spectrum)
-               - rindler.mode_entropy(0.4)) <= 1e-12
+               - bose_entropy(rindler.BETA * 0.4)) <= 1e-12
 
 
 def test_geometric_entropy_grows_as_regulator_shrinks():
@@ -268,8 +281,6 @@ def test_kruskal_point_at_r_4m():
     assert abs(kp.u * kp.v - 16.0 * math.e) <= 1e-12 * 16 * math.e
     assert abs(kp.u - 4.0 * math.sqrt(math.e)) <= 1e-12
     assert abs(kp.v - 4.0 * math.sqrt(math.e)) <= 1e-12
-    assert kp.z == kp.u + kp.v
-    assert kp.t == kp.u - kp.v
 
 
 def test_time_shift_scales_u_over_v():
