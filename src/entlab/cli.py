@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -91,21 +92,28 @@ class RunReport:
 
 
 def _coerce(raw, default, key):
-    if isinstance(raw, type(default)) and not isinstance(raw, str):
-        return raw
-    text = str(raw)
+    """`raw` as the type of `default`; every text parameter is a
+    comma-separated list of floats."""
     try:
+        if isinstance(default, str):
+            _float_list(raw)
+            return str(raw)
         if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        return text
+            return raw if isinstance(raw, int) else int(str(raw))
+        return _finite(raw if isinstance(raw, float) else str(raw))
     except ValueError as exc:
         raise UsageError(f"bad value for {key}: {raw!r}") from exc
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
+    return [_finite(tok) for tok in str(text).split(",") if tok.strip()]
 
 
 # --- experiments ------------------------------------------------------------
@@ -311,8 +319,9 @@ def _check_geom_entropy(rows, params):
 def _run_kruskal(params, rng):
     rows = []
     masses = _float_list(params["masses"])
-    per_mass = max(1, params["points"] // max(1, len(masses)))
-    for mass in masses:
+    base, extra = divmod(params["points"], max(1, len(masses)))
+    for i, mass in enumerate(masses):
+        per_mass = base + (i < extra)  # `points` round trips in all
         r_vals = 2 * mass + 8 * mass * (1.0 - rng.random(per_mass))  # (2M, 10M]
         t_vals = -10 * mass + 20 * mass * rng.random(per_mass)
         for r, t in zip(r_vals, t_vals):
@@ -459,7 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_config_file(path: Path) -> dict:
     entries = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
+                                  start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -478,14 +488,15 @@ def _resolve_config(args) -> ExperimentConfig:
     if args.config is not None:
         try:
             file_entries = _parse_config_file(args.config)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
 
     experiment = args.experiment or file_entries.get("experiment")
     if not experiment:
         raise UsageError("an experiment must be named via --experiment or the "
                          "config file")
-    seed = args.seed if args.seed is not None else int(file_entries.get("seed", 0))
+    seed = args.seed if args.seed is not None else _coerce(
+        file_entries.get("seed", 0), 0, "seed")
     out = args.out if args.out is not None else (
         Path(file_entries["out"]) if "out" in file_entries else None)
     fmt = args.fmt or file_entries.get("format", "csv")

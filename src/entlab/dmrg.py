@@ -50,6 +50,10 @@ class DmrgConfig:
             raise ValueError("kept_states must be >= 1")
         if self.target_length < 2 or self.target_length % 2:
             raise ValueError("target_length must be a positive even integer")
+        if not 0.0 <= self.mass < np.inf:
+            raise ValueError("mass must be finite and nonnegative")
+        if not 0.0 < self.gs_tolerance < np.inf:
+            raise ValueError("gs_tolerance must be finite and positive")
 
     @property
     def site_frequency(self) -> float:

@@ -82,10 +82,7 @@ def angular_wave(mode: AngularMode, x) -> float | np.ndarray:
     """Real angular wave K_{i ell}(mass * x); oscillatory below the turning
     point, exponentially decaying above it.  x must be positive (the
     wavelength vanishes at the origin)."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("x must be positive")
-    return numerics.bessel_K_imag(mode.ell, mode.mass * x_arr)
+    return numerics.bessel_K_imag(mode.ell, mode.mass * np.asarray(x, dtype=float))
 
 
 def sign_changes(values: np.ndarray) -> int:

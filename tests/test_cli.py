@@ -257,6 +257,36 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    b"experiment = symmetry\nseed = abc\n",
+    b"experiment = symmetry\n# \xff\xfe not UTF-8\n",
+    b"experiment = dmrg\nmass = nan\n",
+    b"experiment = dmrg\ngs_tolerance = nan\n",
+    b"experiment = dmrg\nmass = -1\n",
+    b"experiment = dmrg\ngs_tolerance = 0\n",
+    b"experiment = modes\nx_max = inf\n",
+    b"experiment = kruskal\nmasses = nan\n",
+    b"experiment = geom-entropy\nepsilons = 0.1,inf\n",
+], ids=["seed", "utf8", "dmrg-mass-nan", "gs-tolerance-nan", "dmrg-mass-negative",
+        "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf"])
+def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(config)
+    out = tmp_path / "rows.csv"
+    assert run_main("--config", cfg, "--out", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_kruskal_points_is_the_total_number_of_round_trips(tmp_path):
+    cfg = tmp_path / "kr.cfg"
+    cfg.write_text("experiment = kruskal\npoints = 2\nmasses = 0.5,1,2\n")
+    out = tmp_path / "kr.json"
+    assert run_main("--config", cfg, "--out", out, "--format", "json") == 0
+    statuses = [row["status"] for row in json.loads(out.read_text())["rows"]]
+    assert statuses.count("ok") == 2 and statuses.count("rejected") == 3
+
+
 def test_geom_entropy_without_regulators_fails_check(tmp_path):
     cfg = tmp_path / "ge.cfg"
     cfg.write_text("experiment = geom-entropy\nepsilons =\n")

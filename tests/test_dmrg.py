@@ -221,3 +221,12 @@ def test_config_validation():
         dmrg.DmrgConfig(kept_states=0)
     with pytest.raises(ValueError):
         dmrg.DmrgConfig(target_length=7)
+    # rejected before the run, not by the oracle's ChainSpec or by three
+    # Lanczos attempts after it
+    for tolerance in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValueError, match="gs_tolerance"):
+            dmrg.DmrgConfig(gs_tolerance=tolerance)
+    for mass in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="mass"):
+            dmrg.DmrgConfig(mass=mass)
+    assert dmrg.DmrgConfig(mass=0.0).mass == 0.0

@@ -201,11 +201,43 @@ def test_bessel_series_matches_mpmath_in_amplitude_units():
                 assert abs(got - ref) <= 1e-12 * amplitude_units(ell), (ell, x)
 
 
-@pytest.mark.parametrize("ell", [0.5, 8.0])
+def series_seam(ell):
+    # the last x that the ascending series serves
+    return max(numerics._SERIES_X_MAX, numerics._SERIES_PER_ELL * ell)
+
+
+@pytest.mark.parametrize("ell", [0.5, 8.0, 20.0])
 def test_bessel_series_meets_quadrature_at_seam(ell):
-    at_seam = numerics.bessel_K_imag(ell, 2.0)
-    above = numerics.bessel_K_imag(ell, float(np.nextafter(2.0, 3.0)))
-    assert abs(at_seam - above) <= 1e-10 * amplitude_units(ell)
+    seam = series_seam(ell)
+    at_seam = numerics.bessel_K_imag(ell, seam)
+    above = numerics.bessel_K_imag(ell, float(np.nextafter(seam, np.inf)))
+    assert abs(at_seam - above) <= 1e-12 * amplitude_units(ell)
+
+
+def mpmath_errors_above_2(ell):
+    """|K - K_mpmath| / A(ell) on x in (2, 60], both sides of the seam."""
+    mpmath = pytest.importorskip("mpmath")
+    seam = series_seam(ell)
+    xs = {float(np.nextafter(2.0, 3.0)), 2.5, 4.0, 8.0, 15.0, 30.0, 60.0,
+          seam, float(np.nextafter(seam, np.inf))}
+    xs = np.array(sorted(x for x in xs if x > 2.0))
+    got = numerics.bessel_K_imag(ell, xs)
+    with mpmath.workdps(40):
+        ref = [float(mpmath.besselk(1j * mpmath.mpf(ell), mpmath.mpf(x)).real)
+               for x in xs]
+    return np.abs(got - ref) / amplitude_units(ell)
+
+
+@pytest.mark.parametrize("ell", [0.5, 4.0, 8.0, 12.0, 16.0, 20.0])
+def test_bessel_above_2_matches_mpmath_in_amplitude_units(ell):
+    assert mpmath_errors_above_2(ell).max() <= 1e-12
+
+
+@pytest.mark.parametrize("ell", [25.0, 30.0, 40.0])
+def test_bessel_above_2_at_high_order_meets_root_residual(ell):
+    # both methods lose digits near the x = 1.2 ell seam as ell grows; the
+    # root search needs 1e-8 A(ell)
+    assert mpmath_errors_above_2(ell).max() <= 1e-8
 
 
 def test_bessel_amplitude_is_finite_at_high_order():
@@ -220,7 +252,7 @@ def test_bessel_amplitude_is_finite_at_high_order():
 def test_bessel_quadrature_failure_is_numerical_error(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_DOUBLINGS", 0)
     with pytest.raises(numerics.NumericalError, match="quadrature"):
-        numerics.bessel_K_imag(8.0, 5.0)
+        numerics.bessel_K_imag(8.0, 20.0)
 
 
 def test_bessel_array_paths_agree_with_scalars():

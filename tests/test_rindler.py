@@ -176,6 +176,18 @@ def test_spectrum_residual_binds_in_amplitude_units():
     assert abs(off) > 1e-7 and abs(numerics.bessel_K_imag(ells[-1] + 1e-6, 0.1)) < 1e-8
 
 
+@pytest.mark.parametrize("epsilon, ell_max", [(2.5, 20.0), (3.0, 40.0)])
+def test_spectrum_above_x_2_reevaluates_below_residual(epsilon, ell_max):
+    # m epsilon > 2: low ell runs the quadrature, the rest the series
+    mpmath = pytest.importorskip("mpmath")
+    ells = rindler.discrete_spectrum(1.0, epsilon, ell_max).ell_values
+    assert ells.size >= 10
+    with mpmath.workdps(40):
+        ref = [float(mpmath.besselk(1j * mpmath.mpf(ell), mpmath.mpf(epsilon)).real)
+               for ell in ells]
+    assert np.max(np.abs(ref) / numerics.bessel_amplitude(ells)) <= 1e-8
+
+
 def test_spectrum_to_ell_200_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
