@@ -5,7 +5,8 @@ under results/ (CSV rows plus one JSON report each)."""
 import sys
 from pathlib import Path
 
-from entlab.cli import EXPERIMENTS, ExperimentConfig, run_experiment
+from entlab.cli import ExperimentConfig, run_experiment
+from entlab.experiments import EXPERIMENTS
 
 
 def main() -> int:

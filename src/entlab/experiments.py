@@ -1,0 +1,289 @@
+"""The nine experiments: each one's parameter defaults, the runner that
+draws its rows from a seeded generator, and the check that recomputes its
+pass/fail verdicts from those rows.
+
+A runner takes the validated parameters and a numpy Generator and returns a
+list of row dicts with the same keys in every row.  A check takes the rows,
+never empty, and the parameters and returns a dict of named booleans.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import dmrg, harmonic_chain, quantum_state, rindler
+
+__all__ = ["Experiment", "EXPERIMENTS"]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    defaults: dict  # a tuple default is a list of distinct finite floats
+    run: callable
+    check: callable
+    minimum: dict = field(default_factory=dict)  # lower bound of each count
+
+
+def _run_symmetry(params, rng):
+    rows = []
+    for trial in range(params["trials"]):
+        d_l = int(rng.integers(2, params["max_dim"] + 1))
+        d_r = int(rng.integers(2, params["max_dim"] + 1))
+        state = quantum_state.random_state(d_l, d_r, rng)
+        s_l = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
+        s_r = quantum_state.von_neumann_entropy(quantum_state.reduced_density_right(state))
+        rows.append({"trial": trial, "d_left": d_l, "d_right": d_r,
+                     "s_left": s_l, "s_right": s_r, "abs_diff": abs(s_l - s_r)})
+    return rows
+
+
+def _check_symmetry(rows, params):
+    worst = max(r["abs_diff"] for r in rows)
+    return {"entropies_equal": worst <= 1e-9}
+
+
+def _random_mixed(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return quantum_state.DensityMatrix(rho / np.trace(rho).real)
+
+
+def _run_growth(params, rng):
+    d_l, d_r = params["dim_left"], params["dim_right"]
+    rows = []
+    for trial in range(params["trials"]):
+        rho_l = _random_mixed(d_l, rng)
+        rho_r = _random_mixed(d_r, rng)
+        u = quantum_state.random_unitary(d_l * d_r, rng)
+        out_l, out_r = quantum_state.evolve_product(rho_l, rho_r, u)
+        s_in = (quantum_state.von_neumann_entropy(rho_l)
+                + quantum_state.von_neumann_entropy(rho_r))
+        s_out = (quantum_state.von_neumann_entropy(out_l)
+                 + quantum_state.von_neumann_entropy(out_r))
+        rows.append({"trial": trial, "s_in": s_in, "s_out": s_out,
+                     "slack": s_out - s_in})
+    return rows
+
+
+def _check_growth(rows, params):
+    return {"entropy_never_decreases": min(r["slack"] for r in rows) >= -1e-9}
+
+
+def _run_truncation(params, rng):
+    dim, keep = params["dim"], params["keep"]
+    rows = []
+    for index in range(params["states"]):
+        state = quantum_state.random_state(dim, dim, rng)
+        dec = quantum_state.schmidt(state)
+        tail = float((dec.coefficients[keep:] ** 2).sum())
+        projector = dec.left_vectors[:, :keep] @ dec.left_vectors[:, :keep].conj().T
+        keep_distance = quantum_state.truncation_distance(
+            state, projector @ state.coeff)
+        best_random = np.inf
+        for _ in range(params["random_projections"]):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, keep))
+                                + 1j * rng.standard_normal((dim, keep)))
+            dist = quantum_state.truncation_distance(state, q @ q.conj().T @ state.coeff)
+            best_random = min(best_random, dist)
+        rows.append({"state": index, "keep_distance": keep_distance,
+                     "schmidt_tail": tail, "best_random_distance": best_random})
+    return rows
+
+
+def _check_truncation(rows, params):
+    tail_err = max(abs(r["keep_distance"] - r["schmidt_tail"]) for r in rows)
+    optimal = all(r["keep_distance"] <= r["best_random_distance"] + 1e-12 for r in rows)
+    return {"distance_equals_schmidt_tail": tail_err <= 1e-10,
+            "kept_projection_is_optimal": optimal}
+
+
+def _gaussian_chain(n_sites, mass, cut):
+    """The chain's potential, its exact ground energy, and the exact
+    entropy of its left `cut` sites."""
+    spec = harmonic_chain.ChainSpec(n_sites=n_sites, mass=mass)
+    potential = harmonic_chain.build_potential(spec)
+    gs = harmonic_chain.ground_state_covariance(potential)
+    entropy = harmonic_chain.block_entropy(gs, range(cut))
+    return potential, harmonic_chain.ground_energy(potential), entropy
+
+
+def _run_oracle(params, rng):
+    cut = max(1, params["n_sites"] // 2)
+    potential, exact_energy, s_gauss = _gaussian_chain(params["n_sites"], params["mass"], cut)
+    rows = []
+    for d in (params["fock_cutoff"] // 2, params["fock_cutoff"]):
+        state, energy = harmonic_chain.fock_ground_state(potential, d, cut=cut)
+        rho = quantum_state.reduced_density_left(state)
+        s_fock = quantum_state.von_neumann_entropy(rho)
+        rows.append({"fock_cutoff": d, "energy": energy,
+                     "energy_exact": exact_energy, "entropy_fock": s_fock,
+                     "entropy_gaussian": s_gauss,
+                     "entropy_diff": abs(s_fock - s_gauss)})
+    return rows
+
+
+def _check_oracle(rows, params):
+    converged = abs(rows[-1]["entropy_fock"] - rows[0]["entropy_fock"]) <= 1e-4
+    return {"fock_cutoff_converged": converged,
+            "gaussian_fock_agreement": rows[-1]["entropy_diff"] <= 1e-4}
+
+
+def _run_dmrg(params, rng):
+    rows = []
+    for it in dmrg.run(dmrg.DmrgConfig(**params)):
+        _, oracle_energy, oracle_entropy = _gaussian_chain(
+            it.chain_length, params["mass"], it.chain_length // 2)
+        rows.append({
+            "chain_length": it.chain_length,
+            "ground_energy": it.ground_energy,
+            "oracle_energy": oracle_energy,
+            "half_chain_entropy": it.half_chain_entropy,
+            "oracle_entropy": oracle_entropy,
+            "truncation_weight": it.truncation_weight,
+            "kept": it.kept,
+        })
+    return rows
+
+
+def _check_dmrg(rows, params):
+    last = rows[-1]
+    energy_rel = abs(last["ground_energy"] - last["oracle_energy"]) / abs(last["oracle_energy"])
+    entropy_rel = abs(last["half_chain_entropy"] - last["oracle_entropy"]) / abs(last["oracle_entropy"])
+    return {"energy_within_1_percent": energy_rel <= 0.01,
+            "entropy_within_5_percent": entropy_rel <= 0.05}
+
+
+def _run_modes(params, rng):
+    mode = rindler.AngularMode(ell=params["ell"], mass=params["mass"])
+    n = params["samples"]
+    x_max = params["x_max"]
+    grid = np.linspace(x_max / n, x_max, n)
+    values = rindler.angular_wave(mode, grid)
+    return [{"x": float(x), "wave": float(k)} for x, k in zip(grid, values)]
+
+
+def _check_modes(rows, params):
+    x_star = rindler.AngularMode(ell=params["ell"], mass=params["mass"]).turning_point
+    below = np.array([r["wave"] for r in rows if r["x"] < x_star])
+    above = np.array([r["wave"] for r in rows if r["x"] > x_star])
+    checks = {"decays_above_turning_point": rindler.sign_changes(above) == 0}
+    if params["ell"] >= 2.0:
+        checks["oscillates_below_turning_point"] = rindler.sign_changes(below) >= 1
+    return checks
+
+
+def _run_spectrum(params, rng):
+    spectrum = rindler.discrete_spectrum(params["mass"], params["epsilon"],
+                                         params["ell_max"])
+    ells = spectrum.ell_values
+    # |K_{i ell}(m epsilon)| in units of the wave's amplitude A(ell)
+    residuals = np.abs(rindler.scaled_wave(ells, params["mass"] * params["epsilon"]))
+    return [{"n": n, "ell": float(ell), "residual": float(residual),
+             "boltzmann_factor": float(np.exp(-rindler.BETA * ell))}
+            for n, (ell, residual) in enumerate(zip(ells, residuals))]
+
+
+def _check_spectrum(rows, params):
+    ells = [r["ell"] for r in rows]
+    return {"residuals_small": max(r["residual"] for r in rows) <= 1e-8,
+            "ascending": all(b > a for a, b in zip(ells, ells[1:]))}
+
+
+def _run_geom_entropy(params, rng):
+    rows = []
+    for eps in params["epsilons"]:
+        spectrum = rindler.discrete_spectrum(params["mass"], eps, params["ell_max"])
+        rows.append({"epsilon": eps, "n_modes": len(spectrum),
+                     "entropy": rindler.geometric_entropy(spectrum)})
+    return rows
+
+
+def _check_geom_entropy(rows, params):
+    ordered = sorted(rows, key=lambda r: -r["epsilon"])
+    entropies = [r["entropy"] for r in ordered]
+    counts = [r["n_modes"] for r in ordered]
+    return {"entropy_grows_as_regulator_shrinks":
+                all(b > a for a, b in zip(entropies, entropies[1:])),
+            "mode_count_nondecreasing":
+                all(b >= a for a, b in zip(counts, counts[1:]))}
+
+
+def _run_kruskal(params, rng):
+    rows = []
+    masses = params["masses"]
+    base, extra = divmod(params["points"], max(1, len(masses)))
+    for i, mass in enumerate(masses):
+        per_mass = base + (i < extra)  # `points` round trips in all
+        r_vals = 2 * mass + 8 * mass * (1.0 - rng.random(per_mass))  # (2M, 10M]
+        t_vals = -10 * mass + 20 * mass * rng.random(per_mass)
+        for r, t in zip(r_vals, t_vals):
+            point = rindler.SchwarzschildPoint(r=float(r), t=float(t), mass=mass)
+            kp = rindler.to_kruskal(point)
+            back = rindler.from_kruskal(kp, mass)
+            rel = max(abs(back.r - r) / abs(r),
+                      abs(back.t - t) / max(1.0, abs(t)))
+            rows.append({"status": "ok", "mass": mass, "r": float(r), "t": float(t),
+                         "u": kp.u, "v": kp.v, "uv": kp.u * kp.v,
+                         "rel_error": float(rel)})
+        # probe sequence r -> 2M+: u v must vanish toward the horizon
+        for k in range(1, 9):
+            r = 2 * mass * (1.0 + 10.0 ** -k)
+            kp = rindler.to_kruskal(rindler.SchwarzschildPoint(r=r, t=0.0, mass=mass))
+            rows.append({"status": "probe", "mass": mass, "r": r, "t": 0.0,
+                         "u": kp.u, "v": kp.v, "uv": kp.u * kp.v, "rel_error": None})
+        # the horizon itself is rejected input; record that
+        try:
+            rindler.SchwarzschildPoint(r=2 * mass, t=0.0, mass=mass)
+            status = "unexpectedly-accepted"
+        except ValueError:
+            status = "rejected"
+        rows.append({"status": status, "mass": mass, "r": 2 * mass, "t": 0.0,
+                     "u": None, "v": None, "uv": None, "rel_error": None})
+    return rows
+
+
+def _check_kruskal(rows, params):
+    # `points` >= 1 leaves at least one round trip; the masses are distinct
+    ok_rows = [r for r in rows if r["status"] == "ok"]
+    probes = [r for r in rows if r["status"] == "probe"]
+    rejected = [r for r in rows if r["status"] == "rejected"]
+    uv_by_mass = {}
+    for r in probes:
+        uv_by_mass.setdefault(r["mass"], []).append(r["uv"])
+    vanishing = all(
+        all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] < 1e-6 * seq[0]
+        for seq in uv_by_mass.values())
+    return {"round_trip_within_1e10": max(r["rel_error"] for r in ok_rows) <= 1e-10,
+            "uv_vanishes_at_horizon": vanishing,
+            "horizon_input_rejected": len(rejected) == len(uv_by_mass)}
+
+
+EXPERIMENTS = {
+    "symmetry": Experiment({"trials": 200, "max_dim": 10},
+                           _run_symmetry, _check_symmetry,
+                           {"trials": 1, "max_dim": 2}),
+    "growth": Experiment({"trials": 200, "dim_left": 3, "dim_right": 3},
+                         _run_growth, _check_growth,
+                         {"trials": 1, "dim_left": 1, "dim_right": 1}),
+    "truncation": Experiment({"states": 50, "dim": 6, "keep": 3,
+                              "random_projections": 200},
+                             _run_truncation, _check_truncation,
+                             {"states": 1, "dim": 1, "keep": 1,
+                              "random_projections": 1}),
+    "oracle": Experiment({"n_sites": 2, "mass": 1.0, "fock_cutoff": 20},
+                         _run_oracle, _check_oracle, {"fock_cutoff": 4}),
+    "dmrg": Experiment({"mass": 1.0, "local_dim": 8, "kept_states": 16,
+                        "target_length": 20, "gs_tolerance": 1e-10},
+                       _run_dmrg, _check_dmrg),
+    "modes": Experiment({"ell": 8.0, "mass": 1.0, "samples": 600, "x_max": 30.0},
+                        _run_modes, _check_modes, {"samples": 1}),
+    "spectrum": Experiment({"mass": 1.0, "epsilon": 0.1, "ell_max": 20.0},
+                           _run_spectrum, _check_spectrum),
+    "geom-entropy": Experiment({"mass": 1.0, "ell_max": 20.0,
+                                "epsilons": (0.1, 0.05, 0.025)},
+                               _run_geom_entropy, _check_geom_entropy),
+    "kruskal": Experiment({"points": 1000, "masses": (0.5, 1.0, 2.0)},
+                          _run_kruskal, _check_kruskal, {"points": 1}),
+}

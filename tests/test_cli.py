@@ -1,9 +1,13 @@
+import ast
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from entlab import cli
+from entlab import cli, experiments
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_main(*args):
@@ -54,10 +58,14 @@ def test_csv_uses_lf_and_roundtrip_floats(tmp_path):
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     header = lines[0].split(",")
-    first = dict(zip(header, lines[1].split(",")))
     payload = json.loads(out_json.read_text())
-    for key in ("s_in", "s_out", "slack"):
-        assert float(first[key]) == payload["rows"][0][key]  # 17 digits round-trip
+    assert len(lines) == len(payload["rows"]) + 1
+    for line, row in zip(lines[1:], payload["rows"]):
+        cells = dict(zip(header, line.split(",")))
+        for key in ("s_in", "s_out", "slack"):
+            # the shortest text that round-trips, as JSON writes it
+            assert cells[key] == repr(float(cells[key]))
+            assert float(cells[key]) == row[key]
 
 
 def test_json_payload_structure_and_no_wall_clock(tmp_path):
@@ -120,6 +128,7 @@ def test_spectrum_and_geom_entropy_experiments(tmp_path):
     assert run_main("--config", cfg, "--out", out, "--format", "json") == 0
     payload = json.loads(out.read_text())
     assert payload["checks"]["entropy_grows_as_regulator_shrinks"] is True
+    assert payload["parameters"]["epsilons"] == [0.2, 0.1]
     assert [row["epsilon"] for row in payload["rows"]] == [0.2, 0.1]
 
 
@@ -206,7 +215,7 @@ def test_empty_spectrum_writes_empty_report_and_fails_check(tmp_path, fmt):
     else:
         payload = json.loads(out.read_text())
         assert payload["rows"] == []
-        assert payload["checks"] == {"spectrum_nonempty": False}
+        assert payload["checks"] == {"rows_nonempty": False}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum.cfg", out.name]
 
 
@@ -245,36 +254,48 @@ def test_bessel_failure_is_numerical_failure_exit_code(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("experiment, key", [
-    ("symmetry", "trials"), ("growth", "trials"), ("truncation", "states"),
-    ("modes", "samples"), ("kruskal", "points")])
-def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key):
+LOWER_BOUNDS = [
+    ("symmetry", "trials", 1), ("growth", "trials", 1), ("truncation", "states", 1),
+    ("modes", "samples", 1), ("kruskal", "points", 1),
+    ("symmetry", "max_dim", 2), ("growth", "dim_left", 1), ("growth", "dim_right", 1),
+    ("truncation", "dim", 1), ("truncation", "keep", 1),
+    ("truncation", "random_projections", 1), ("oracle", "fock_cutoff", 4)]
+
+
+@pytest.mark.parametrize("experiment, key, low", LOWER_BOUNDS,
+                         ids=[f"{e}-{k}" for e, k, _ in LOWER_BOUNDS])
+def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"experiment = {experiment}\n{key} = 0\n")
+    cfg.write_text(f"experiment = {experiment}\n{key} = {low - 1}\n")
     out = tmp_path / "rows.csv"
     assert run_main("--config", cfg, "--out", out) == 2
-    assert capsys.readouterr().err.strip() == f"error: {key} must be >= 1"
+    assert capsys.readouterr().err.strip() == f"error: {key} must be >= {low}"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config", [
-    b"experiment = symmetry\nseed = abc\n",
-    b"experiment = symmetry\n# \xff\xfe not UTF-8\n",
-    b"experiment = dmrg\nmass = nan\n",
-    b"experiment = dmrg\ngs_tolerance = nan\n",
-    b"experiment = dmrg\nmass = -1\n",
-    b"experiment = dmrg\ngs_tolerance = 0\n",
-    b"experiment = modes\nx_max = inf\n",
-    b"experiment = kruskal\nmasses = nan\n",
-    b"experiment = geom-entropy\nepsilons = 0.1,inf\n",
+@pytest.mark.parametrize("config, named", [
+    (b"experiment = symmetry\nseed = abc\n", "seed"),
+    (b"experiment = symmetry\n# \xff\xfe not UTF-8\n", "config file"),
+    (b"experiment = dmrg\nmass = nan\n", "mass"),
+    (b"experiment = dmrg\ngs_tolerance = nan\n", "gs_tolerance"),
+    (b"experiment = dmrg\nmass = -1\n", "mass"),
+    (b"experiment = dmrg\ngs_tolerance = 0\n", "gs_tolerance"),
+    (b"experiment = modes\nx_max = inf\n", "x_max"),
+    (b"experiment = kruskal\nmasses = nan\n", "masses"),
+    (b"experiment = geom-entropy\nepsilons = 0.1,inf\n", "epsilons"),
+    # a repeated value would merge two sequences that the checks keep apart
+    (b"experiment = kruskal\nmasses = 1,1\n", "masses"),
+    (b"experiment = geom-entropy\nepsilons = 0.1,0.1\n", "epsilons"),
 ], ids=["seed", "utf8", "dmrg-mass-nan", "gs-tolerance-nan", "dmrg-mass-negative",
-        "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf"])
-def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config):
+        "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
+        "masses-duplicate", "epsilons-duplicate"])
+def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config, named):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(config)
     out = tmp_path / "rows.csv"
     assert run_main("--config", cfg, "--out", out) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
@@ -294,7 +315,7 @@ def test_geom_entropy_without_regulators_fails_check(tmp_path):
     assert run_main("--config", cfg, "--out", out, "--format", "json") == 1
     payload = json.loads(out.read_text())
     assert payload["rows"] == []
-    assert payload["checks"] == {"entropies_nonempty": False}
+    assert payload["checks"] == {"rows_nonempty": False}
 
 
 def test_kruskal_without_masses_fails_check(tmp_path):
@@ -304,4 +325,26 @@ def test_kruskal_without_masses_fails_check(tmp_path):
     assert run_main("--config", cfg, "--out", out, "--format", "json") == 1
     payload = json.loads(out.read_text())
     assert payload["rows"] == []
-    assert payload["checks"] == {"round_trips_nonempty": False}
+    assert payload["checks"] == {"rows_nonempty": False}
+
+
+def test_cli_imports_no_physics_module():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "entlab"):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    physics = {"dmrg", "harmonic_chain", "quantum_state", "rindler"}
+    assert not {name.rpartition(".")[2] for name in imported} & physics
+
+
+def test_run_all_script_loads():
+    spec = importlib.util.spec_from_file_location(
+        "run_all", ROOT / "scripts" / "run_all.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # main() runs only under __main__
+    assert module.EXPERIMENTS is experiments.EXPERIMENTS
+    assert callable(module.main)
