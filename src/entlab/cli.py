@@ -50,6 +50,8 @@ class ExperimentConfig:
                 f"{', '.join(sorted(experiments.EXPERIMENTS))}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
+        if self.out is not None:
+            object.__setattr__(self, "out", Path(self.out))
         spec = experiments.EXPERIMENTS[self.experiment]
         unknown = set(self.params) - set(spec.defaults)
         if unknown:
@@ -62,6 +64,9 @@ class ExperimentConfig:
         for key, low in spec.minimum.items():
             if merged[key] < low:
                 raise UsageError(f"{key} must be >= {low}")
+        for key, bound in spec.below.items():
+            if merged[key] >= merged[bound]:
+                raise UsageError(f"{key} must be < {bound}")
         object.__setattr__(self, "params", merged)
 
     @property
@@ -146,6 +151,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run one experiment, write its rows to the output path, and return the
     report with checks recomputed from the emitted rows."""
     experiment = experiments.EXPERIMENTS[config.experiment]
+    numerics.use_one_blas_thread()
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     rows = experiment.run(config.params, rng)

@@ -65,9 +65,12 @@ class DmrgConfig:
 class DmrgBlock:
     """Block of `length` sites in a (possibly truncated) basis.
 
-    edge_phi is the field operator of the origin-facing boundary site; all
-    matrices are real.  warm_start, when present, is the previous ground
-    state embedded in this block's superblock space.
+    edge_phi is the field operator of the origin-facing boundary site on the
+    leading tensor factor of the basis, so the block's edge field is
+    kron(edge_phi, I).  That factor is the bare site in a block just started
+    or enlarged, and the whole basis in a truncated one.  All matrices are
+    real.  warm_start, when present, is the previous ground state embedded
+    in this block's superblock space.
     """
 
     length: int
@@ -94,7 +97,10 @@ class Superblock:
     """Block + mirror image coupled across the origin by -phi_edge phi'_edge.
 
     Acts on vectors of length basis_size**2 (the block x mirror product
-    space) without materializing the matrix.
+    space) without materializing the matrix.  edge_phi is the block's edge
+    field on its leading tensor factor (see DmrgBlock), so the coupling is
+    applied on that factor's index of each side (Schollwoeck, RMP 77, 259,
+    2005): the matvec costs the two n^3 products of the block Hamiltonian.
     """
 
     hamiltonian: np.ndarray
@@ -110,16 +116,28 @@ class Superblock:
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         n = self.block_dim
+        k = self.edge_phi.shape[0]
         m = vec.reshape(n, n)
-        out = self.hamiltonian @ m + m @ self.hamiltonian
-        return (out - self.edge_phi @ m @ self.edge_phi).ravel()
+        out = self.hamiltonian @ m
+        out += m @ self.hamiltonian
+        # (phi x I) M (phi x I)^T: phi on the site index of the rows, then,
+        # row by row, on the site index of the columns
+        rows = (self.edge_phi @ m.reshape(k, -1)).reshape(n, k, n // k)
+        out -= np.matmul(self.edge_phi, rows).reshape(n, n)
+        return out.ravel()
 
     def dense(self) -> np.ndarray:
-        n2 = self.dim
-        h = np.kron(self.hamiltonian, np.eye(self.block_dim))
-        h += np.kron(np.eye(self.block_dim), self.hamiltonian)
-        h -= np.kron(self.edge_phi, self.edge_phi)
-        return h.reshape(n2, n2)
+        n = self.block_dim
+        edge = _edge_field(self.edge_phi, n)
+        h = np.kron(self.hamiltonian, np.eye(n))
+        h += np.kron(np.eye(n), self.hamiltonian)
+        h -= np.kron(edge, edge)
+        return h
+
+
+def _edge_field(edge_phi: np.ndarray, n: int) -> np.ndarray:
+    """The edge field on the whole n-dimensional block basis."""
+    return np.kron(edge_phi, np.eye(n // edge_phi.shape[0]))
 
 
 def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
@@ -135,10 +153,8 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
     h1, phi1 = oscillator_ops(config.site_frequency, d)
     ham = (np.kron(h1, np.eye(n))
            + np.kron(np.eye(d), block.hamiltonian)
-           - np.kron(phi1, block.edge_phi))
-    return DmrgBlock(length=block.length + 1,
-                     hamiltonian=ham,
-                     edge_phi=np.kron(phi1, np.eye(n)))
+           - np.kron(phi1, _edge_field(block.edge_phi, n)))
+    return DmrgBlock(length=block.length + 1, hamiltonian=ham, edge_phi=phi1)
 
 
 def init_block(config: DmrgConfig) -> DmrgBlock:
@@ -184,7 +200,7 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     kept_ham = 0.5 * (kept_ham + kept_ham.T)
     truncated = DmrgBlock(length=block.length,
                           hamiltonian=kept_ham,
-                          edge_phi=basis.T @ block.edge_phi @ basis)
+                          edge_phi=basis.T @ _edge_field(block.edge_phi, n) @ basis)
     iterate = DmrgIterate(chain_length=2 * block.length,
                           ground_energy=float(energy),
                           half_chain_entropy=entropy,

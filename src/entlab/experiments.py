@@ -24,6 +24,7 @@ class Experiment:
     run: callable
     check: callable
     minimum: dict = field(default_factory=dict)  # lower bound of each count
+    below: dict = field(default_factory=dict)  # key -> the key it must be less than
 
 
 def _run_symmetry(params, rng):
@@ -110,7 +111,7 @@ def _gaussian_chain(n_sites, mass, cut):
 
 
 def _run_oracle(params, rng):
-    cut = max(1, params["n_sites"] // 2)
+    cut = params["n_sites"] // 2
     potential, exact_energy, s_gauss = _gaussian_chain(params["n_sites"], params["mass"], cut)
     rows = []
     for d in (params["fock_cutoff"] // 2, params["fock_cutoff"]):
@@ -271,9 +272,11 @@ EXPERIMENTS = {
                               "random_projections": 200},
                              _run_truncation, _check_truncation,
                              {"states": 1, "dim": 1, "keep": 1,
-                              "random_projections": 1}),
+                              "random_projections": 1},
+                             {"keep": "dim"}),  # keep >= dim truncates nothing
     "oracle": Experiment({"n_sites": 2, "mass": 1.0, "fock_cutoff": 20},
-                         _run_oracle, _check_oracle, {"fock_cutoff": 4}),
+                         _run_oracle, _check_oracle,
+                         {"n_sites": 2, "fock_cutoff": 4}),  # one site has no cut
     "dmrg": Experiment({"mass": 1.0, "local_dim": 8, "kept_states": 16,
                         "target_length": 20, "gs_tolerance": 1e-10},
                        _run_dmrg, _check_dmrg),

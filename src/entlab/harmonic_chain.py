@@ -188,10 +188,11 @@ def oscillator_ops(omega: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     return h, phi
 
 
-def _embed(op: np.ndarray, site: int, dims: Sequence[int]) -> np.ndarray:
+def _embed(ops: dict[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
+    """Kronecker product over the sites of ops[site], the identity elsewhere."""
     out = np.array([[1.0]])
     for s, d in enumerate(dims):
-        out = np.kron(out, op if s == site else np.eye(d))
+        out = np.kron(out, ops.get(s, np.eye(d)))
     return out
 
 
@@ -227,15 +228,13 @@ def fock_ground_state(
     for i in range(n):
         hi, phi = oscillator_ops(float(np.sqrt(v[i, i])), d)
         phis.append(phi)
-        h += _embed(hi, i, dims)
+        h += _embed({i: hi}, dims)
     for i in range(n):
         for j in range(i + 1, n):
             if v[i, j] != 0.0:
-                left = _embed(phis[i], i, dims)
-                right = _embed(phis[j], j, dims)
-                h += v[i, j] * (left @ right)
+                h += v[i, j] * _embed({i: phis[i], j: phis[j]}, dims)
 
-    dec = numerics.sym_eig(h)
+    dec = numerics.sym_eig(h, lowest=1)
     energy = float(dec.values[0])
     psi = dec.vectors[:, 0]
     state = BipartiteState(psi.reshape(d ** cut, d ** (n - cut)))

@@ -1,17 +1,20 @@
 """Dense and iterative linear algebra plus the special functions shared by the
 other modules: symmetric eigensolves, SVD, a ground-state (smallest eigenpair)
 solver for matrix-free operators, imaginary-order modified Bessel functions
-K_{i ell}(x), and a bracketing root finder.
+K_{i ell}(x), a bracketing root finder, and the switch that runs BLAS on
+one thread.
 
-All functions are pure and thread-safe.
+All functions except that switch are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import k0, loggamma
 
@@ -21,6 +24,7 @@ __all__ = [
     "NumericalError",
     "EigensolverError",
     "RootCountWarning",
+    "use_one_blas_thread",
     "sym_eig",
     "svd",
     "smallest_eigenpair",
@@ -72,11 +76,46 @@ def _require_finite(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
+# set_num_threads of OpenBLAS as numpy's and scipy's wheels export it
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def use_one_blas_thread() -> None:
+    """Run every OpenBLAS loaded into this process on one thread.
+
+    The products here (256 x 256 in DMRG) are faster on one thread, and
+    their rounding, so every reported digit, would otherwise depend on the
+    thread count.  The libraries are found through /proc/self/maps; where
+    that file, a library or its set_num_threads symbol is missing, nothing
+    changes.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if p.startswith("/")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # the mapped file is gone or not a library
+            continue
+        for symbol in _BLAS_SET_THREADS:
+            set_threads = getattr(lib, symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                break
+
+
+def sym_eig(matrix: np.ndarray, lowest: int | None = None) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric (or complex Hermitian) matrix.
 
     Symmetry is verified on entry; eigenvalues come back ascending with
-    orthonormal eigenvector columns.
+    orthonormal eigenvector columns.  With `lowest`, only that many of the
+    smallest eigenpairs are computed.
     """
     m = np.asarray(matrix)
     _require_finite(m, "matrix")
@@ -85,7 +124,10 @@ def sym_eig(matrix: np.ndarray) -> EigenDecomposition:
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     if np.abs(m - m.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric/Hermitian")
-    values, vectors = np.linalg.eigh(m)
+    if lowest is None:
+        values, vectors = np.linalg.eigh(m)
+    else:
+        values, vectors = scipy.linalg.eigh(m, subset_by_index=[0, lowest - 1])
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -117,6 +159,8 @@ def smallest_eigenpair(
     to a dense solve; larger ones use a Lanczos iteration whose result is
     verified against the residual contract ||H v - E v|| <= tol and re-run
     tighter if needed, at most three attempts of 20000 restarts each.
+    Lanczos stops at a residual of tol |E|, so its tolerance is divided by
+    the Rayleigh quotient of v0, an estimate of |E|, when that exceeds 1.
 
     Raises EigensolverError on non-convergence.
     """
@@ -130,6 +174,8 @@ def smallest_eigenpair(
     if v0 is None:
         v0 = np.random.default_rng(_START_SEED).standard_normal(dim)
     v0 = np.asarray(v0, dtype=np.float64)
+    if not np.any(v0):
+        raise ValueError("v0 must be nonzero")
 
     applications = 0
 
@@ -139,7 +185,8 @@ def smallest_eigenpair(
         return apply(vec)
 
     op = LinearOperator((dim, dim), matvec=counted, dtype=np.float64)
-    arpack_tol = tol
+    rayleigh = abs(float(v0 @ counted(v0))) / float(v0 @ v0)
+    arpack_tol = tol / max(1.0, rayleigh)
     for attempt in range(1, 4):
         try:
             vals, vecs = eigsh(op, k=1, which="SA", v0=v0, tol=arpack_tol,

@@ -1,6 +1,9 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,28 @@ def test_symmetry_run_is_byte_identical_for_fixed_seed(tmp_path):
     assert run_main("--experiment", "symmetry", "--seed", "43", "--out", out_c) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+def test_dmrg_report_does_not_depend_on_blas_threads(tmp_path):
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"dmrg-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "entlab", "--experiment", "dmrg",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_text_output_path_writes_the_report(tmp_path):
+    out = tmp_path / "s.csv"
+    config = cli.ExperimentConfig(experiment="symmetry", out=str(out),
+                                  params={"trials": 3})
+    assert config.out == out
+    assert cli.run_experiment(config).passed
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_csv_uses_lf_and_roundtrip_floats(tmp_path):
@@ -286,9 +311,13 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     # a repeated value would merge two sequences that the checks keep apart
     (b"experiment = kruskal\nmasses = 1,1\n", "masses"),
     (b"experiment = geom-entropy\nepsilons = 0.1,0.1\n", "epsilons"),
+    # nothing truncated, or no cut in one site: every check would pass on nothing
+    (b"experiment = truncation\ndim = 4\nkeep = 4\n", "keep must be < dim"),
+    (b"experiment = oracle\nn_sites = 1\n", "n_sites must be >= 2"),
 ], ids=["seed", "utf8", "dmrg-mass-nan", "gs-tolerance-nan", "dmrg-mass-negative",
         "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
-        "masses-duplicate", "epsilons-duplicate"])
+        "masses-duplicate", "epsilons-duplicate", "keep-not-below-dim",
+        "oracle-one-site"])
 def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config, named):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(config)

@@ -78,6 +78,23 @@ def test_superblock_dense_agrees_with_matvec():
     assert np.abs(superblock.dense() @ v - superblock.matvec(v)).max() <= 1e-12
 
 
+def test_superblock_matvec_after_a_truncating_step():
+    # the kept basis (m = 2) times a bare site: the edge field is the site's
+    config = dmrg.DmrgConfig(local_dim=3, kept_states=2, mass=1.0, target_length=6)
+    block, _ = dmrg.dmrg_step(dmrg.init_block(config), config)
+    n = block.basis_size
+    assert n == 6 and block.edge_phi.shape == (3, 3)
+    _, phi = hc.oscillator_ops(config.site_frequency, 3)
+    edge = np.kron(phi, np.eye(2))
+    eye = np.eye(n)
+    reference = (np.kron(block.hamiltonian, eye) + np.kron(eye, block.hamiltonian)
+                 - np.kron(edge, edge))
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
+    assert np.abs(superblock.dense() - reference).max() <= 1e-12
+    v = np.random.default_rng(1).standard_normal(superblock.dim)
+    assert np.abs(reference @ v - superblock.matvec(v)).max() <= 1e-12
+
+
 # --- one step --------------------------------------------------------------------------
 
 def test_lossless_step_has_zero_truncation_weight():

@@ -90,6 +90,17 @@ def test_svd_frobenius_identity(rows, cols, seed):
         1.0, np.linalg.norm(a) ** 2)
 
 
+def test_sym_eig_lowest_pairs_match_the_full_solve():
+    m = rand_symmetric(12, np.random.default_rng(4))
+    full = numerics.sym_eig(m)
+    low = numerics.sym_eig(m, lowest=2)
+    assert low.vectors.shape == (12, 2)
+    assert np.abs(low.values - full.values[:2]).max() <= 1e-12
+    assert np.abs(np.abs(low.vectors) - np.abs(full.vectors[:, :2])).max() <= 1e-10
+    with pytest.raises(ValueError, match="symmetric"):
+        numerics.sym_eig(m + np.triu(np.ones((12, 12)), 1), lowest=1)
+
+
 # --- smallest_eigenpair --------------------------------------------------------
 
 def test_smallest_eigenpair_diagonal():
@@ -122,6 +133,43 @@ def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
     with pytest.raises(numerics.EigensolverError) as err:
         numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-14)
     assert err.value.iterations >= 1
+
+
+def test_smallest_eigenpair_tolerance_is_absolute(monkeypatch):
+    # eigenvalues near +100: a Lanczos tolerance relative to |E| misses the
+    # absolute residual contract here and forces a second attempt
+    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
+    attempts = []
+    eigsh = numerics.eigsh
+
+    def counted_eigsh(*args, **kwargs):
+        attempts.append(kwargs["tol"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eigsh", counted_eigsh)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-10)
+    assert len(attempts) == 1
+    assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
+    assert abs(value - numerics.sym_eig(m).values[0]) <= 1e-9
+
+
+def test_smallest_eigenpair_rejects_a_zero_start_vector():
+    m = np.diag(np.arange(1.0, 31.0))
+    with pytest.raises(ValueError, match="v0"):
+        numerics.smallest_eigenpair(lambda v: m @ v, 30, v0=np.zeros(30))
+
+
+# --- BLAS threads -----------------------------------------------------------------
+
+def test_one_blas_thread_is_a_no_op_without_proc_maps(monkeypatch):
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    loaded = []
+    monkeypatch.setattr(numerics, "open", unreadable, raising=False)
+    monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: loaded.append(path))
+    assert numerics.use_one_blas_thread() is None
+    assert loaded == []
 
 
 # --- bessel_K_imag -------------------------------------------------------------
