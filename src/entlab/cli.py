@@ -151,7 +151,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Run one experiment, write its rows to the output path, and return the
     report with checks recomputed from the emitted rows."""
     experiment = experiments.EXPERIMENTS[config.experiment]
-    numerics.use_one_blas_thread()
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
     rows = experiment.run(config.params, rng)

@@ -2,7 +2,7 @@
 other modules: symmetric eigensolves, SVD, a ground-state (smallest eigenpair)
 solver for matrix-free operators, imaginary-order modified Bessel functions
 K_{i ell}(x), a bracketing root finder, and the switch that runs BLAS on
-one thread.
+one thread, thrown once when this module is imported.
 
 All functions except that switch are pure and thread-safe.
 """
@@ -89,7 +89,8 @@ def use_one_blas_thread() -> None:
     their rounding, so every reported digit, would otherwise depend on the
     thread count.  The libraries are found through /proc/self/maps; where
     that file, a library or its set_num_threads symbol is missing, nothing
-    changes.
+    changes.  Importing this module calls it, after numpy and scipy have
+    loaded their OpenBLAS, so every caller of entlab runs single-threaded.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -209,7 +210,7 @@ def smallest_eigenpair(
 
 # --- imaginary-order modified Bessel function ------------------------------
 #
-# For x <= max(2, 1.2 ell), K_{i ell}(x) comes from the ascending series of
+# For x <= max(2, 1.05 ell), K_{i ell}(x) comes from the ascending series of
 # I_{i ell} (DLMF 10.25.2, 10.27.4), which has no cancellation at x <= 2:
 #
 #     K_{i ell}(x) = -A(ell) Im[e^{i phi} sum_k t_k],
@@ -218,24 +219,29 @@ def smallest_eigenpair(
 #
 # where A(ell) = sqrt(pi / (ell sinh(pi ell))) is the amplitude of the
 # small-x wave (DLMF 10.45).  At larger x, K_{i ell}(x) = integral_0^inf
-# exp(-x cosh t) cos(ell t) dt by the composite trapezoid rule with step
-# halving, which converges geometrically (the integrand is even and decays
-# double-exponentially).  Both run in plain double precision.  Near x = c ell
-# both cancel: the series' terms reach e^{x^2 / (4 ell)}, and the
-# integrand is of size e^{-x} while K is of size A ~ e^{-pi ell / 2}.  The
-# seam c = 1.2 balances the two losses (c^2 / 4 = pi / 2 - c).  Against
-# 40-digit mpmath on x in (2, 60] the error is <= 1.1e-14 A for ell <= 12,
-# 2.6e-13 A at ell = 20, 6.3e-12 A at 30 and 8.4e-10 A at 40.
+# exp(-x cosh t) cos(ell t) dt (DLMF 10.32.9) is taken on the steepest-descent
+# path t = u + i v(u), sin v = ell u / (x sinh u), where the exponent is real
+# and the odd i v' term drops out (Gil, Segura and Temme, ACM TOMS 30, 145):
+#
+#     K_{i ell}(x) = integral_0^inf exp(-F(u)) du,  F = x cosh u cos v + ell v.
+#
+# The integrand is positive and falls from its peak at u = 0, so nothing
+# cancels, and the trapezoid rule with step halving converges geometrically
+# to a relative tolerance that binds at every x.  As F(u) >= cosh u
+# sqrt(x^2 - ell^2), exp(F(0) - F(u)) < 1e-18 past cosh T = (F(0) + ln 1e18)
+# / sqrt(x^2 - ell^2).  Only the series loses digits, just below the seam:
+# its terms reach e^{x^2 / (4 ell)} while K is of size A ~ e^{-pi ell / 2}.
+# Against 40-digit mpmath on x in (2, 60] the error is <= 2.3e-14 A for
+# ell <= 20, 1.2e-12 A at 40 and 2.1e-11 A at 50; above the seam it is
+# <= 1.3e-15 A.  Both methods run in plain double precision.
 
 _SERIES_X_MAX = 2.0
-_SERIES_PER_ELL = 1.2
+_SERIES_PER_ELL = 1.05
 _SERIES_REL_TOL = 1e-17
 # K_{i ell} - K_0 = O(ell^2), below double precision for ell < 1e-8
 _ZERO_ORDER = 1e-8
 
-_LOG_TAIL_CUT = float(np.log(1e18))
 _QUAD_REL_TOL = 1e-10
-_QUAD_ABS_FLOOR = 1e-16
 _MAX_DOUBLINGS = 24
 _CHUNK = 2048  # points per quadrature batch: bounds the (batch x grid) matrix
 
@@ -254,7 +260,7 @@ def bessel_amplitude(ell):
 
 def _series_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Ascending series at paired 1-d ells (>= _ZERO_ORDER) and xs
-    (<= max(2, 1.2 ell))."""
+    (<= max(2, 1.05 ell))."""
     q = 0.25 * xs * xs
     term = np.ones(xs.shape, dtype=complex)
     total = term.copy()
@@ -267,50 +273,41 @@ def _series_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return -bessel_amplitude(ells) * (np.exp(1j * phase) * total).imag
 
 
-def _upper_limit(x_min: float) -> float:
-    # exp(-x cosh T) below 1e-18 of the integrand peak exp(-x)
-    return float(np.arccosh(1.0 + _LOG_TAIL_CUT / x_min))
+def _descent_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Trapezoid rule on the steepest-descent path at paired 1-d ells and
+    xs, with x > ell."""
+    root = np.sqrt((xs - ells) * (xs + ells))
+    peak = root + ells * np.arcsin(ells / xs)  # F(0)
+    T = float(np.arccosh(np.max((peak + np.log(1e18)) / root)))
+    ratio, x, ell, f0 = (a[:, None] for a in (ells / xs, xs, ells, peak))
 
+    def scaled(u):  # exp(F(0) - F(u)), shape (len(xs), len(u))
+        u_over_sinh = np.ones_like(u)
+        np.divide(u, np.sinh(u), out=u_over_sinh, where=u > 0.0)
+        sin_v = ratio * u_over_sinh
+        return np.exp(f0 - x * np.cosh(u) * np.sqrt(1.0 - sin_v * sin_v)
+                      - ell * np.arcsin(sin_v))
 
-def _trapezoid_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Shared-grid trapezoid quadrature; ells and xs are 1-d, result is
-    shape (len(ells), len(xs))."""
-    big = float(np.max(ells)) if ells.size else 0.0
-    T = _upper_limit(float(np.min(xs)))
-    n = max(64, 16 * int(np.ceil(big * T / (2.0 * np.pi))) if big > 0 else 64)
-    t = np.linspace(0.0, T, n + 1)
-    h = T / n
-
-    def weights(tt):
-        return np.exp(-np.outer(xs, np.cosh(tt)))  # (nx, nt)
-
-    w = weights(t)
-    w[:, 0] *= 0.5
-    w[:, -1] *= 0.5
-    # (nl, nt) @ (nt, nx)
-    estimate = h * (np.cos(np.outer(ells, t)) @ w.T)
+    n, h = 16, T / 16
+    w = scaled(np.linspace(0.0, T, n + 1))
+    estimate = h * (w.sum(axis=1) - 0.5 * (w[:, 0] + w[:, -1]))
     for _ in range(_MAX_DOUBLINGS):
-        mid = t[:-1] + 0.5 * h
-        refined = 0.5 * estimate + 0.5 * h * (np.cos(np.outer(ells, mid))
-                                              @ weights(mid).T)
-        h = 0.5 * h
-        t = np.sort(np.concatenate([t, mid]))
-        err = np.abs(refined - estimate)
-        bound = np.maximum(_QUAD_REL_TOL * np.abs(refined), _QUAD_ABS_FLOOR)
+        refined = 0.5 * (estimate + h * scaled(h * (np.arange(n) + 0.5)).sum(axis=1))
+        n, h = 2 * n, 0.5 * h
+        converged = np.all(np.abs(refined - estimate) <= _QUAD_REL_TOL * refined)
         estimate = refined
-        if np.all(err <= bound):
-            break
-    else:
-        raise NumericalError("Bessel quadrature did not converge")
-    return estimate
+        if converged:
+            return estimate * np.exp(-peak)
+    raise NumericalError("Bessel quadrature did not converge")
 
 
 def bessel_K_imag(ell, x):
     """Modified Bessel function of imaginary order, K_{i ell}(x), real-valued.
 
     Requires x > 0 and ell >= 0.  One argument may be a 1-d array while the
-    other is scalar.  Points with x <= max(2, 1.2 ell) use the ascending
-    series; the rest share one quadrature grid per batch.
+    other is scalar.  Points with x <= max(2, 1.05 ell) use the ascending
+    series; the rest use the trapezoid rule on the steepest-descent path,
+    one shared grid per batch of up to 2048 points.
     """
     ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -336,10 +333,7 @@ def bessel_K_imag(ell, x):
     far = np.flatnonzero(~near)
     for i in range(0, far.size, _CHUNK):
         chunk = far[i:i + _CHUNK]
-        if x_arr.size == 1:
-            out[chunk] = _trapezoid_K(ell_arr[chunk], x_arr)[:, 0]
-        else:
-            out[chunk] = _trapezoid_K(ell_arr, x_arr[chunk])[0, :]
+        out[chunk] = _descent_K(ells[chunk], xs[chunk])
     return float(out[0]) if scalar else out
 
 
@@ -398,3 +392,6 @@ def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
         if not merged or root - merged[-1] > 0.5 * step:
             merged.append(float(root))
     return np.array(merged)
+
+
+use_one_blas_thread()

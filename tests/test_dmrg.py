@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from entlab import dmrg, numerics
 from entlab import harmonic_chain as hc
 from entlab import quantum_state as qs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def oracle(length, mass):
@@ -247,3 +253,17 @@ def test_config_validation():
         with pytest.raises(ValueError, match="mass"):
             dmrg.DmrgConfig(mass=mass)
     assert dmrg.DmrgConfig(mass=0.0).mass == 0.0
+
+
+def test_direct_run_does_not_depend_on_blas_threads():
+    # importing entlab pins BLAS to one thread, not only the command line
+    code = ("from entlab import dmrg; "
+            "print(repr(dmrg.run(dmrg.DmrgConfig())))")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(SRC), os.environ.get("PYTHONPATH")])))
+        outputs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+    assert outputs[0] == outputs[1]
