@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics
 from .harmonic_chain import oscillator_ops
-from .quantum_state import BipartiteState, entropy_from_probs, reduced_density_left
+from .quantum_state import BipartiteState, reduced_density_left, von_neumann_entropy
 
 __all__ = [
     "DmrgConfig",
@@ -180,12 +180,9 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
         v0=block.warm_start)
 
     matrix = psi.reshape(n, n)
-    rho = reduced_density_left(BipartiteState(matrix))  # validates the invariants
-    w, u = np.linalg.eigh(rho.entries.real)
-    w = w[::-1]
-    u = u[:, ::-1]
-
-    entropy = entropy_from_probs(w)
+    # psi is real, so rho and its eigenvectors are; weights come descending
+    rho = reduced_density_left(BipartiteState(matrix))
+    w = rho.eigenvalues
 
     kept = min(config.kept_states, n)
     # keep a degenerate multiplet intact when it straddles the cut (zero-weight
@@ -194,7 +191,7 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
            and w[kept - 1] - w[kept] <= _DEGENERACY_TOL):
         kept += 1
     weight = float(max(0.0, 1.0 - w[:kept].sum()))
-    basis = u[:, :kept]
+    basis = rho.eigenvectors[:, :kept]
 
     kept_ham = basis.T @ block.hamiltonian @ basis
     kept_ham = 0.5 * (kept_ham + kept_ham.T)
@@ -203,7 +200,7 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
                           edge_phi=basis.T @ _edge_field(block.edge_phi, n) @ basis)
     iterate = DmrgIterate(chain_length=2 * block.length,
                           ground_energy=float(energy),
-                          half_chain_entropy=entropy,
+                          half_chain_entropy=von_neumann_entropy(rho),
                           truncation_weight=weight,
                           kept=kept)
     if 2 * (block.length + 1) > config.target_length:

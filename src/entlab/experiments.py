@@ -107,7 +107,7 @@ def _gaussian_chain(n_sites, mass, cut):
     potential = harmonic_chain.build_potential(spec)
     gs = harmonic_chain.ground_state_covariance(potential)
     entropy = harmonic_chain.block_entropy(gs, range(cut))
-    return potential, harmonic_chain.ground_energy(potential), entropy
+    return potential, harmonic_chain.ground_energy(gs), entropy
 
 
 def _run_oracle(params, rng):

@@ -93,10 +93,11 @@ def ground_state_covariance(potential: np.ndarray) -> GaussianGroundState:
     return GaussianGroundState(X=0.5 * (x + x.T), P=0.5 * (p + p.T))
 
 
-def ground_energy(potential: np.ndarray) -> float:
-    """Exact ground energy sum_k omega_k / 2 of H = sum pi^2/2 + phi^T V phi / 2,
-    with omega_k^2 the eigenvalues of the potential."""
-    return 0.5 * float(np.sqrt(np.linalg.eigvalsh(potential)).sum())
+def ground_energy(gs: GaussianGroundState) -> float:
+    """Exact ground energy sum_k omega_k / 2 = Tr V^{1/2} / 2 of
+    H = sum pi^2/2 + phi^T V phi / 2, with omega_k^2 the eigenvalues of the
+    potential.  By the virial theorem that is Tr P."""
+    return float(np.trace(gs.P))
 
 
 def _region_indices(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarray:

@@ -242,7 +242,7 @@ _SERIES_REL_TOL = 1e-17
 _ZERO_ORDER = 1e-8
 
 _QUAD_REL_TOL = 1e-10
-_MAX_DOUBLINGS = 24
+_MAX_DOUBLINGS = 8  # 4 at most were needed; caps the grid at 2048 x 2048
 _CHUNK = 2048  # points per quadrature batch: bounds the (batch x grid) matrix
 
 
@@ -322,13 +322,14 @@ def bessel_K_imag(ell, x):
     if np.any(ell_arr < 0.0):
         raise ValueError("ell must be nonnegative")
 
-    scalar = np.isscalar(ell) or getattr(ell, "ndim", 1) == 0
-    scalar = scalar and (np.isscalar(x) or getattr(x, "ndim", 1) == 0)
+    scalar = np.ndim(ell) == 0 and np.ndim(x) == 0
 
     ells, xs = np.broadcast_arrays(ell_arr, x_arr)
-    out = k0(xs)
+    out = np.empty(xs.shape)
     near = xs <= np.maximum(_SERIES_X_MAX, _SERIES_PER_ELL * ells)
-    series = near & (ells >= _ZERO_ORDER)
+    zero = near & (ells < _ZERO_ORDER)
+    out[zero] = k0(xs[zero])
+    series = near & ~zero
     out[series] = _series_K(ells[series], xs[series])
     far = np.flatnonzero(~near)
     for i in range(0, far.size, _CHUNK):

@@ -7,7 +7,7 @@ States are immutable after construction; entropies are in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,15 +39,17 @@ _TRACE_TOL = 1e-12
 class BipartiteState:
     """Pure state of a left (dim d_L) times right (dim d_R) system, stored as
     the coefficient matrix coeff[a, A] over the product basis.  The
-    constructor normalizes, so sum |coeff|^2 == 1."""
+    constructor normalizes, so sum |coeff|^2 == 1.  A real matrix is kept
+    as float64 and a complex one as complex128."""
 
     coeff: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeff, dtype=complex)
+        c = np.asarray(self.coeff,
+                       dtype=complex if np.iscomplexobj(self.coeff) else float)
         if c.ndim != 2 or c.size == 0:
             raise ValueError(f"coefficient matrix must be 2-d, got {c.shape}")
-        if not np.all(np.isfinite(c.view(float))):
+        if not np.all(np.isfinite(c)):
             raise ValueError("coefficient matrix has non-finite entries")
         norm = np.linalg.norm(c)
         if norm == 0.0:
@@ -68,12 +70,16 @@ class BipartiteState:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix; validated on
-    construction (tolerance 1e-12)."""
+    construction (tolerance 1e-12) from its one eigendecomposition, which
+    it keeps: `eigenvalues` descending and `eigenvectors` the matching
+    orthonormal columns.  All three arrays are read-only."""
 
     entries: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = np.asarray(self.entries)
+        rho = np.array(self.entries)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
         if np.abs(rho - rho.conj().T).max() > _HERM_TOL:
@@ -81,11 +87,13 @@ class DensityMatrix:
         trace = complex(np.trace(rho))
         if abs(trace - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {trace} differs from 1 beyond 1e-12")
-        if np.linalg.eigvalsh(rho).min() < -_EVAL_TOL:
+        values, vectors = np.linalg.eigh(rho)
+        if values[0] < -_EVAL_TOL:
             raise ValueError("density matrix has eigenvalue below -1e-12")
-        rho = rho.copy()
-        rho.setflags(write=False)
-        object.__setattr__(self, "entries", rho)
+        for name, array in (("entries", rho), ("eigenvalues", values[::-1]),
+                            ("eigenvectors", vectors[:, ::-1])):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def dim(self) -> int:
@@ -134,7 +142,7 @@ def bose_entropy(eps):
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S = -Tr rho ln rho in nats, from the eigenvalues of rho."""
-    return entropy_from_probs(np.linalg.eigvalsh(rho.entries))
+    return entropy_from_probs(rho.eigenvalues)
 
 
 def schmidt(state: BipartiteState) -> SchmidtDecomposition:

@@ -377,3 +377,48 @@ def test_run_all_script_loads():
     spec.loader.exec_module(module)  # main() runs only under __main__
     assert module.EXPERIMENTS is experiments.EXPERIMENTS
     assert callable(module.main)
+
+
+def _load_compare_reports():
+    spec = importlib.util.spec_from_file_location(
+        "compare_reports", ROOT / "scripts" / "compare_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_reports(directory, rows, checks=None, name="dmrg.json"):
+    directory.mkdir(exist_ok=True)
+    payload = {"experiment": "dmrg", "rows": rows,
+               "checks": checks or {"ok": True}, "passed": True}
+    (directory / name).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def test_compare_reports_prints_float_differences(tmp_path, capsys):
+    compare = _load_compare_reports()
+    rows = [{"kept": 4, "energy": 1.0, "note": None}, {"kept": 8, "energy": 2.0, "note": "x"}]
+    _write_reports(tmp_path / "a", rows)
+    _write_reports(tmp_path / "b", rows)
+    assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == "dmrg.json: byte-identical\n"
+
+    _write_reports(tmp_path / "b", [dict(rows[0], energy=1.5), rows[1]])
+    assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "dmrg.json: differs"
+    assert out[1].split() == ["energy", "max", "abs", "5.00e-01", "max", "rel", "3.33e-01"]
+    assert len(out) == 2  # `kept` and `note` are not float columns
+
+
+@pytest.mark.parametrize("change", ["missing", "rows", "cell", "verdict"])
+def test_compare_reports_fails_on_structural_change(tmp_path, capsys, change):
+    compare = _load_compare_reports()
+    rows = [{"kept": 4, "energy": 1.0}, {"kept": 8, "energy": 2.0}]
+    _write_reports(tmp_path / "a", rows)
+    changed = {"missing": dict(rows=rows, name="other.json"),
+               "rows": dict(rows=rows[:1]),
+               "cell": dict(rows=[rows[0], dict(rows[1], kept=9)]),
+               "verdict": dict(rows=rows, checks={"ok": False})}[change]
+    _write_reports(tmp_path / "b", **changed)
+    assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "FAIL " in capsys.readouterr().out

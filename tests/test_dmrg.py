@@ -124,6 +124,12 @@ def test_density_matrix_spectrum_properties_at_step():
     assert abs(w.sum() - 1.0) <= 1e-10
 
 
+def test_step_decomposes_its_density_matrix_once(decompositions):
+    config = dmrg.DmrgConfig(local_dim=8)
+    dmrg.dmrg_step(dmrg.init_block(config), config)  # superblock dim 64: Lanczos
+    assert decompositions == ["eigh"]
+
+
 def test_step_entropy_obeys_block_mirror_symmetry():
     config = dmrg.DmrgConfig(local_dim=5, kept_states=10, mass=0.8, target_length=8)
     block = dmrg.init_block(config)

@@ -51,6 +51,18 @@ def test_covariance_rejects_indefinite_potential():
         hc.ground_state_covariance(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 20, 64])
+@pytest.mark.parametrize("mass", [0.01, 0.1, 1.0])
+def test_ground_energy_is_trace_of_momentum_covariance(n, mass, decompositions):
+    # virial theorem: E0 = Tr V^{1/2} / 2 = Tr P, read without a decomposition
+    v = chain(n, mass)
+    exact = 0.5 * np.sqrt(np.linalg.eigvalsh(v)).sum()
+    gs = hc.ground_state_covariance(v)
+    del decompositions[:]
+    assert abs(hc.ground_energy(gs) - exact) <= 1e-14 * exact
+    assert decompositions == []
+
+
 # --- block entropy ----------------------------------------------------------------
 
 def test_uncoupled_chain_has_zero_block_entropy():

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from entlab import numerics
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rand_symmetric(n, rng):
@@ -305,6 +313,46 @@ def test_bessel_quadrature_failure_is_numerical_error(monkeypatch, x):
     monkeypatch.setattr(numerics, "_MAX_DOUBLINGS", 3)
     with pytest.raises(numerics.NumericalError, match="quadrature"):
         numerics.bessel_K_imag(8.0, x)
+
+
+# a full batch whose quadrature never converges, in a process whose address
+# space is capped at 2 GiB: the halving must give up before its grid does
+_UNCONVERGED_BATCH = """
+import resource
+import numpy as np
+from entlab import numerics
+resource.setrlimit(resource.RLIMIT_AS,
+                   (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+numerics._QUAD_REL_TOL = -1.0
+try:
+    numerics.bessel_K_imag(8.0, np.linspace(8.5, 30.0, 2048))
+except numerics.NumericalError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_unconverged_quadrature_batch_fails_in_bounded_memory():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _UNCONVERGED_BATCH], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "NumericalError Bessel quadrature did not converge\n"
+
+
+def test_k0_is_evaluated_only_where_it_is_kept(monkeypatch):
+    sizes = []
+
+    def recording_k0(x):
+        sizes.append(np.size(x))
+        return scipy.special.k0(x)
+
+    monkeypatch.setattr(numerics, "k0", recording_k0)
+    numerics.bessel_K_imag(8.0, np.linspace(0.5, 30.0, 600))
+    assert sum(sizes) == 0  # no point of an ell = 8 batch is of order zero
+    xs = np.linspace(0.05, 2.0, 40)  # the series side, where K_{i0} = K_0
+    assert np.array_equal(numerics.bessel_K_imag(0.0, xs), scipy.special.k0(xs))
+    assert sum(sizes) == xs.size
 
 
 def test_bessel_array_paths_agree_with_scalars():

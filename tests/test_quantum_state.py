@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entlab import experiments
 from entlab import quantum_state as qs
 
 
@@ -41,6 +42,39 @@ def test_density_matrix_validation():
         qs.DensityMatrix(np.diag([0.7, 0.7]))  # bad trace
     with pytest.raises(ValueError):
         qs.DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def test_real_state_stays_real_and_complex_stays_complex():
+    real = qs.BipartiteState(np.arange(1, 7).reshape(2, 3))
+    assert real.coeff.dtype == np.float64
+    assert qs.reduced_density_left(real).eigenvectors.dtype == np.float64
+    assert qs.BipartiteState(np.eye(2) * 1j).coeff.dtype == np.complex128
+    assert qs.random_state(2, 3, np.random.default_rng(1)).coeff.dtype == np.complex128
+
+
+def test_density_matrix_keeps_its_eigenpairs():
+    for rho in (qs.reduced_density_left(qs.random_state(5, 3, np.random.default_rng(2))),
+                qs.reduced_density_right(qs.BipartiteState(np.arange(12.0).reshape(3, 4)))):
+        w, u = rho.eigenvalues, rho.eigenvectors
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.abs((u * w) @ u.conj().T - rho.entries).max() <= 1e-12
+        for array in (rho.entries, w, u):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+# --- one decomposition per matrix ------------------------------------------------
+
+def test_symmetry_trial_decomposes_each_density_matrix_once(decompositions):
+    experiments.EXPERIMENTS["symmetry"].run({"trials": 7, "max_dim": 5},
+                                            np.random.default_rng(3))
+    assert len(decompositions) == 2 * 7
+
+
+def test_growth_trial_decomposes_each_density_matrix_once(decompositions):
+    experiments.EXPERIMENTS["growth"].run({"trials": 7, "dim_left": 3, "dim_right": 2},
+                                          np.random.default_rng(4))
+    assert len(decompositions) == 4 * 7
 
 
 # --- reduced density matrices ---------------------------------------------------
