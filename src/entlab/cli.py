@@ -227,7 +227,7 @@ def main(argv=None) -> int:
 
     try:
         report = run_experiment(config)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except numerics.NumericalError as exc:

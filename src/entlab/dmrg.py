@@ -32,10 +32,10 @@ _SUPERBLOCK_LIMIT = 1 << 20
 
 @dataclass(frozen=True)
 class DmrgConfig:
+    mass: float = 1.0
     local_dim: int = 8
     kept_states: int = 16
     target_length: int = 20
-    mass: float = 1.0
     gs_tolerance: float = 1e-10
 
     def __post_init__(self):

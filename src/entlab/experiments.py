@@ -9,7 +9,7 @@ never empty, and the parameters and returns a dict of named booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -277,9 +277,7 @@ EXPERIMENTS = {
     "oracle": Experiment({"n_sites": 2, "mass": 1.0, "fock_cutoff": 20},
                          _run_oracle, _check_oracle,
                          {"n_sites": 2, "fock_cutoff": 4}),  # one site has no cut
-    "dmrg": Experiment({"mass": 1.0, "local_dim": 8, "kept_states": 16,
-                        "target_length": 20, "gs_tolerance": 1e-10},
-                       _run_dmrg, _check_dmrg),
+    "dmrg": Experiment(asdict(dmrg.DmrgConfig()), _run_dmrg, _check_dmrg),
     "modes": Experiment({"ell": 8.0, "mass": 1.0, "samples": 600, "x_max": 30.0},
                         _run_modes, _check_modes, {"samples": 1}),
     "spectrum": Experiment({"mass": 1.0, "epsilon": 0.1, "ell_max": 20.0},

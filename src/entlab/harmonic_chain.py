@@ -59,6 +59,10 @@ class GaussianGroundState:
     X: np.ndarray
     P: np.ndarray
 
+    def __post_init__(self):
+        if not (np.isfinite(self.X).all() and np.isfinite(self.P).all()):
+            raise ValueError("covariances have non-finite entries")
+
     @property
     def n_sites(self) -> int:
         return self.X.shape[0]
@@ -155,19 +159,16 @@ def entanglement_spectrum(
         return np.array([1.0])
     norm_log = float(np.log1p(-np.exp(-eps)).sum())
 
-    # best-first search over occupation tuples ordered by total energy
-    start = (0,) * eps.size
-    heap = [(0.0, start)]
-    seen = {start}
+    # best-first search over occupation tuples ordered by total energy; a tuple
+    # raises only modes from the one last raised, so it is reached once
+    heap = [(0.0, (0,) * eps.size, 0)]
     out: list[float] = []
     while heap and len(out) < n_levels:
-        energy, occ = heapq.heappop(heap)
+        energy, occ, low = heapq.heappop(heap)
         out.append(np.exp(norm_log - energy))
-        for k in range(eps.size):
+        for k in range(low, eps.size):
             succ = occ[:k] + (occ[k] + 1,) + occ[k + 1:]
-            if succ not in seen:
-                seen.add(succ)
-                heapq.heappush(heap, (energy + float(eps[k]), succ))
+            heapq.heappush(heap, (energy + float(eps[k]), succ, k))
     return np.array(out)
 
 

@@ -348,8 +348,8 @@ def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
     """Roots of a continuous function on an interval, ascending.
 
     `f` must accept a 1-d array and return the values elementwise.  Scans
-    the bracket for sign changes (10^3 points per unit length) and bisects
-    all of them in lock-step, one call of `f` per step, each to 1e-12
+    the bracket (10^3 points per unit length) and bisects each sign change
+    to one root, all in lock-step, one call of `f` per step, to 1e-12
     relative.  Every returned root satisfies |f(r)| <= 1e-8; a sign change
     that does not close onto such a root (a jump) raises NumericalError.
     """
@@ -385,14 +385,7 @@ def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
             raise NumericalError(
                 f"sign change at {r[bad[0]]:.12g} is not a root: "
                 f"|f| = {residual[bad[0]]:.3e} above {_ROOT_F_TOL}")
-    roots = np.sort(np.concatenate([grid[values == 0.0], r]))
-
-    merged: list[float] = []
-    step = (hi - lo) / n_scan
-    for root in roots:
-        if not merged or root - merged[-1] > 0.5 * step:
-            merged.append(float(root))
-    return np.array(merged)
+    return np.sort(np.concatenate([grid[values == 0.0], r]))
 
 
 use_one_blas_thread()

@@ -82,13 +82,13 @@ class DensityMatrix:
         rho = np.array(self.entries)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
-        if np.abs(rho - rho.conj().T).max() > _HERM_TOL:
+        if not np.abs(rho - rho.conj().T).max() <= _HERM_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > _TRACE_TOL:
+        if not abs(trace - 1.0) <= _TRACE_TOL:
             raise ValueError(f"trace {trace} differs from 1 beyond 1e-12")
         values, vectors = np.linalg.eigh(rho)
-        if values[0] < -_EVAL_TOL:
+        if not values[0] >= -_EVAL_TOL:
             raise ValueError("density matrix has eigenvalue below -1e-12")
         for name, array in (("entries", rho), ("eigenvalues", values[::-1]),
                             ("eigenvectors", vectors[:, ::-1])):
@@ -204,7 +204,7 @@ def evolve_product(
     if u.shape != (dim, dim):
         raise ValueError(f"unitary must act on dimension {dim}, got {u.shape}")
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
     rho = u @ np.kron(rho_left.entries, rho_right.entries) @ u.conj().T
     rho = rho.reshape(d_l, d_r, d_l, d_r)

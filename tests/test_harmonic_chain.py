@@ -51,6 +51,15 @@ def test_covariance_rejects_indefinite_potential():
         hc.ground_state_covariance(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("bad", ["X", "P"])
+def test_ground_state_rejects_nonfinite_covariance(bad):
+    # a NaN covariance would otherwise give a block entropy of 0
+    arrays = {"X": np.eye(2) / 2.0, "P": np.eye(2) / 2.0}
+    arrays[bad] = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        hc.GaussianGroundState(**arrays)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 20, 64])
 @pytest.mark.parametrize("mass", [0.01, 0.1, 1.0])
 def test_ground_energy_is_trace_of_momentum_covariance(n, mass, decompositions):
@@ -168,6 +177,20 @@ def test_single_mode_geometric_spectrum():
     gs = hc.GaussianGroundState(X=np.array([[1.5]]), P=np.array([[1.5]]))
     levels = hc.entanglement_spectrum(gs, [0], n_levels=5)
     assert np.abs(levels - [0.5, 0.25, 0.125, 0.0625, 0.03125]).max() <= 1e-12
+
+
+def test_spectrum_of_degenerate_modes_counts_each_level_once():
+    # two identical uncoupled 2-site chains, one site of each in the block:
+    # two modes at the same eps, so level n is (n + 1)-fold degenerate
+    v = np.zeros((4, 4))
+    v[:2, :2] = v[2:, 2:] = chain(2, 1.0)
+    gs = hc.ground_state_covariance(v)
+    one = hc.ground_state_covariance(chain(2, 1.0))
+    nu = np.sqrt(one.X[0, 0] * one.P[0, 0])
+    q = (nu - 0.5) / (nu + 0.5)  # e^{-eps}
+    levels = hc.entanglement_spectrum(gs, [0, 2], n_levels=10)
+    expected = (1.0 - q) ** 2 * q ** np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3])
+    assert np.abs(levels / expected - 1.0).max() <= 1e-12
 
 
 def test_spectrum_matches_fock_reduced_density():

@@ -380,6 +380,15 @@ def test_find_roots_linear():
     assert roots.size == 1 and abs(roots[0] - 2.0) <= 1e-9
 
 
+def test_find_roots_keeps_roots_closer_than_the_scan_step():
+    # two sign changes 2e-4 apart, less than the 1e-3 scan step
+    f = lambda x: 1e3 * (x - 0.4999) * (x - 0.5001)
+    roots = numerics.find_roots(f, (0.0, 1.0))
+    assert roots.size == 2
+    assert np.abs(f(roots)).max() <= 1e-8
+    assert np.abs(roots - [0.4999, 0.5001]).max() <= 1e-9
+
+
 def bisect_one_bracket_at_a_time(f, lo, hi):
     """Reference: the same scan, then each bracket bisected on its own with
     scalar calls; a bracket that does not close onto |f| <= 1e-8 raises."""

@@ -44,6 +44,14 @@ def test_density_matrix_validation():
         qs.DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("entries", [np.full((2, 2), np.nan),
+                                     [[np.nan, 0.0], [0.0, 1.0]]])
+def test_density_matrix_rejects_nan(entries):
+    # a NaN compares false with every tolerance, so each check must fail on it
+    with pytest.raises(ValueError):
+        qs.DensityMatrix(np.array(entries))
+
+
 def test_real_state_stays_real_and_complex_stays_complex():
     real = qs.BipartiteState(np.arange(1, 7).reshape(2, 3))
     assert real.coeff.dtype == np.float64
@@ -301,3 +309,9 @@ def test_evolve_rejects_non_unitary():
         qs.evolve_product(rho, rho, bad)
     with pytest.raises(ValueError):
         qs.evolve_product(rho, rho, np.eye(5))
+
+
+def test_evolve_rejects_nan_unitary():
+    rho = _random_mixed(2, np.random.default_rng(15))
+    with pytest.raises(ValueError, match="not unitary"):
+        qs.evolve_product(rho, rho, np.full((4, 4), np.nan))
