@@ -6,8 +6,8 @@ generator (PCG64), emits plot-ready rows to CSV or JSON, and recomputes its
 pass/fail checks from the emitted rows.  Output files are byte-identical for
 identical config + seed, and are written whole or not at all.
 
-Exit codes: 0 pass, 1 assertion failure, 2 usage/config error, 3 I/O error,
-4 numerical failure.
+Exit codes: 0 pass, 1 assertion failure, 2 usage/config error or not enough
+memory, 3 I/O error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
         report = run_experiment(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 2
     except numerics.NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

@@ -1,14 +1,15 @@
 """Infinite-system density-matrix renormalization group for the harmonic
 chain with truncated local Fock spaces.
 
-The block is grown at its origin-facing edge, reflected to form a superblock,
-and truncated to the dominant eigenstates of its reduced density matrix at
-every step.  No free sites are inserted between block and mirror.
+A run starts from the empty block.  Each step adjoins one site at the
+block's origin-facing edge, solves the enlarged block and its mirror image as
+a superblock, and truncates the block to the dominant eigenstates of its
+reduced density matrix.  No free sites are inserted between block and mirror.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "DmrgBlock",
     "DmrgIterate",
     "Superblock",
-    "init_block",
     "dmrg_step",
     "run",
 ]
@@ -67,16 +67,16 @@ class DmrgBlock:
 
     edge_phi is the field operator of the origin-facing boundary site on the
     leading tensor factor of the basis, so the block's edge field is
-    kron(edge_phi, I).  That factor is the bare site in a block just started
-    or enlarged, and the whole basis in a truncated one.  All matrices are
-    real.  warm_start, when present, is the previous ground state embedded
-    in this block's superblock space.
+    kron(edge_phi, I).  That factor is the bare site in an enlarged block,
+    and the whole basis in a truncated or the empty one.  All matrices are
+    real.  ground_state, in a truncated block, is the superblock ground state
+    it was cut from, as a (block x mirror) matrix in the kept basis.
     """
 
     length: int
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
-    warm_start: np.ndarray | None = field(default=None, compare=False)
+    ground_state: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def basis_size(self) -> int:
@@ -157,27 +157,24 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
     return DmrgBlock(length=block.length + 1, hamiltonian=ham, edge_phi=phi1)
 
 
-def init_block(config: DmrgConfig) -> DmrgBlock:
-    """Exact one-site block in the truncated Fock basis (White's start; no
-    renormalization yet)."""
-    h, phi = oscillator_ops(config.site_frequency, config.local_dim)
-    return DmrgBlock(length=1, hamiltonian=h, edge_phi=phi)
-
-
 def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
-    """One growth step: solve the superblock, truncate the block basis to the
-    kept_states dominant density-matrix eigenstates, adjoin one site.
+    """One growth step: adjoin a site to the block, solve the superblock of
+    the enlarged block and its mirror, and truncate the enlarged block to the
+    kept_states dominant density-matrix eigenstates.
 
-    Returns the enlarged block and the iterate record for the superblock
-    just solved (chain length 2 x block length).  When the next superblock
-    would be longer than target_length, nothing would solve it, so the
-    truncated block is returned without the added site.
+    Returns the truncated block and the iterate record for the superblock
+    just solved (chain length 2 x enlarged block length).
     """
-    n = block.basis_size
-    superblock = Superblock(block.hamiltonian, block.edge_phi)
+    enlarged = _enlarge(block, config)
+    n = enlarged.basis_size
+    warm = None
+    if block.ground_state is not None:
+        # the new site in its local ground state, the rest as last solved
+        warm = np.pad(block.ground_state, (0, n - block.basis_size)).ravel()
+        warm /= np.linalg.norm(warm)
+    superblock = Superblock(enlarged.hamiltonian, enlarged.edge_phi)
     energy, psi = numerics.smallest_eigenpair(
-        superblock.matvec, superblock.dim, tol=config.gs_tolerance,
-        v0=block.warm_start)
+        superblock.matvec, superblock.dim, tol=config.gs_tolerance, v0=warm)
 
     matrix = psi.reshape(n, n)
     # psi is real, so rho and its eigenvectors are; weights come descending
@@ -193,34 +190,25 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     weight = float(max(0.0, 1.0 - w[:kept].sum()))
     basis = rho.eigenvectors[:, :kept]
 
-    kept_ham = basis.T @ block.hamiltonian @ basis
-    kept_ham = 0.5 * (kept_ham + kept_ham.T)
-    truncated = DmrgBlock(length=block.length,
-                          hamiltonian=kept_ham,
-                          edge_phi=basis.T @ _edge_field(block.edge_phi, n) @ basis)
-    iterate = DmrgIterate(chain_length=2 * block.length,
+    kept_ham = basis.T @ enlarged.hamiltonian @ basis
+    truncated = DmrgBlock(length=enlarged.length,
+                          hamiltonian=0.5 * (kept_ham + kept_ham.T),
+                          edge_phi=basis.T @ _edge_field(enlarged.edge_phi, n) @ basis,
+                          ground_state=basis.T @ matrix @ basis)
+    iterate = DmrgIterate(chain_length=2 * enlarged.length,
                           ground_energy=float(energy),
                           half_chain_entropy=von_neumann_entropy(rho),
                           truncation_weight=weight,
                           kept=kept)
-    if 2 * (block.length + 1) > config.target_length:
-        return truncated, iterate
-    enlarged = _enlarge(truncated, config)
-
-    # embed the ground state for warm starting the next superblock solve:
-    # new sites in their local ground state, block part rotated to the kept basis
-    ground_site = np.zeros(config.local_dim)
-    ground_site[0] = 1.0
-    kept_psi = basis.T @ matrix @ basis
-    warm = np.kron(np.outer(ground_site, ground_site), kept_psi).ravel()
-    warm /= np.linalg.norm(warm)
-    return replace(enlarged, warm_start=warm), iterate
+    return truncated, iterate
 
 
 def run(config: DmrgConfig) -> list[DmrgIterate]:
-    """Grow the chain until the superblock reaches target_length, recording
-    one iterate per step; each step adds two sites."""
-    block = init_block(config)
+    """Grow the chain from the empty block until the superblock reaches
+    target_length, recording one iterate per step; each step adds two
+    sites."""
+    block = DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)),
+                      edge_phi=np.zeros((1, 1)))
     iterates: list[DmrgIterate] = []
     for _ in range(config.target_length // 2):
         block, iterate = dmrg_step(block, config)

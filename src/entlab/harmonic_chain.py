@@ -86,14 +86,13 @@ def build_potential(spec: ChainSpec) -> np.ndarray:
 def ground_state_covariance(potential: np.ndarray) -> GaussianGroundState:
     """Exact ground-state covariances from the spectral square roots of the
     potential."""
-    dec = numerics.sym_eig(potential)
-    if dec.values[0] <= 0.0:
+    values, q = numerics.sym_eig(potential)
+    if values[0] <= 0.0:
         raise ValueError(
             f"potential is not positive definite (min eigenvalue "
-            f"{dec.values[0]:.3e})")
-    q = dec.vectors
-    x = 0.5 * (q * dec.values ** -0.5) @ q.T
-    p = 0.5 * (q * dec.values ** 0.5) @ q.T
+            f"{values[0]:.3e})")
+    x = 0.5 * (q * values ** -0.5) @ q.T
+    p = 0.5 * (q * values ** 0.5) @ q.T
     return GaussianGroundState(X=0.5 * (x + x.T), P=0.5 * (p + p.T))
 
 
@@ -120,8 +119,8 @@ def symplectic_eigenvalues(gs: GaussianGroundState, region: Iterable[int]) -> np
     idx = _region_indices(gs, region)
     xb = gs.X[np.ix_(idx, idx)]
     pb = gs.P[np.ix_(idx, idx)]
-    dec = numerics.sym_eig(xb)
-    sqrt_x = (dec.vectors * np.sqrt(np.clip(dec.values, 0.0, None))) @ dec.vectors.T
+    values, q = numerics.sym_eig(xb)
+    sqrt_x = (q * np.sqrt(np.clip(values, 0.0, None))) @ q.T
     mu = np.linalg.eigvalsh(sqrt_x @ pb @ sqrt_x)
     return np.sqrt(np.clip(mu, 0.25, None))
 
@@ -236,8 +235,6 @@ def fock_ground_state(
             if v[i, j] != 0.0:
                 h += v[i, j] * _embed({i: phis[i], j: phis[j]}, dims)
 
-    dec = numerics.sym_eig(h, lowest=1)
-    energy = float(dec.values[0])
-    psi = dec.vectors[:, 0]
-    state = BipartiteState(psi.reshape(d ** cut, d ** (n - cut)))
-    return state, energy
+    values, vectors = numerics.sym_eig(h, lowest=1)
+    state = BipartiteState(vectors[:, 0].reshape(d ** cut, d ** (n - cut)))
+    return state, float(values[0])

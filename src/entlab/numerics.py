@@ -10,7 +10,6 @@ All functions except that switch are pure and thread-safe.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,8 +18,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import k0, loggamma
 
 __all__ = [
-    "EigenDecomposition",
-    "SingularValueDecomposition",
     "NumericalError",
     "EigensolverError",
     "RootCountWarning",
@@ -52,23 +49,6 @@ class EigensolverError(NumericalError):
 
 class RootCountWarning(UserWarning):
     """A root search found no roots."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending, eigenvectors as orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SingularValueDecomposition:
-    """A = u @ diag(s) @ v.conj().T with s descending and u, v orthonormal."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
 
 
 def _require_finite(a: np.ndarray, name: str) -> None:
@@ -111,8 +91,10 @@ def use_one_blas_thread() -> None:
                 break
 
 
-def sym_eig(matrix: np.ndarray, lowest: int | None = None) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric (or complex Hermitian) matrix.
+def sym_eig(matrix: np.ndarray,
+            lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (values, vectors) of a real symmetric (or complex
+    Hermitian) matrix.
 
     Symmetry is verified on entry; eigenvalues come back ascending with
     orthonormal eigenvector columns.  With `lowest`, only that many of the
@@ -126,20 +108,19 @@ def sym_eig(matrix: np.ndarray, lowest: int | None = None) -> EigenDecomposition
     if np.abs(m - m.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric/Hermitian")
     if lowest is None:
-        values, vectors = np.linalg.eigh(m)
-    else:
-        values, vectors = scipy.linalg.eigh(m, subset_by_index=[0, lowest - 1])
-    return EigenDecomposition(values=values, vectors=vectors)
+        return np.linalg.eigh(m)
+    return scipy.linalg.eigh(m, subset_by_index=[0, lowest - 1])
 
 
-def svd(matrix: np.ndarray) -> SingularValueDecomposition:
-    """Thin singular value decomposition with descending singular values."""
+def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin singular value decomposition (u, s, v), A = u @ diag(s) @
+    v.conj().T, with s descending and u, v orthonormal."""
     a = np.asarray(matrix)
     _require_finite(a, "matrix")
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return SingularValueDecomposition(u=u, s=s, v=vh.conj().T)
+    return u, s, vh.conj().T
 
 
 # Deterministic start vector seed for the iterative solver; any fixed value
@@ -169,8 +150,8 @@ def smallest_eigenpair(
         raise ValueError("dim must be >= 1")
     if dim <= 16:
         h = np.stack([np.asarray(apply(col)) for col in np.eye(dim)], axis=1)
-        dec = sym_eig(h)
-        return float(dec.values[0]), dec.vectors[:, 0]
+        values, vectors = sym_eig(h)
+        return float(values[0]), vectors[:, 0]
 
     if v0 is None:
         v0 = np.random.default_rng(_START_SEED).standard_normal(dim)

@@ -152,9 +152,8 @@ def schmidt(state: BipartiteState) -> SchmidtDecomposition:
     Degenerate coefficients leave the vector families non-unique (any basis
     of the degenerate subspace works); only the spectrum is contract-bearing.
     """
-    dec = numerics.svd(state.coeff)
-    return SchmidtDecomposition(coefficients=dec.s, left_vectors=dec.u,
-                                right_vectors=dec.v)
+    u, s, v = numerics.svd(state.coeff)
+    return SchmidtDecomposition(coefficients=s, left_vectors=u, right_vectors=v)
 
 
 def _check_same_shape(a, b) -> None:
@@ -171,9 +170,9 @@ def truncate(state: BipartiteState, m: int) -> tuple[BipartiteState, float]:
     """
     if not 1 <= m <= state.d_left:
         raise ValueError(f"m={m} out of range [1, {state.d_left}]")
-    dec = numerics.svd(state.coeff)
-    kept = dec.u[:, :m] @ (dec.s[:m, None] * dec.v[:, :m].conj().T)
-    weight = float((dec.s[m:] ** 2).sum())
+    u, s, v = numerics.svd(state.coeff)
+    kept = u[:, :m] @ (s[:m, None] * v[:, :m].conj().T)
+    weight = float((s[m:] ** 2).sum())
     return BipartiteState(kept), weight
 
 

@@ -62,7 +62,6 @@ class AngularSpectrum:
     K_{i ell}(mass * epsilon) = 0 at the regulator distance epsilon."""
 
     epsilon: float
-    mass: float
     ell_values: np.ndarray
 
     def __post_init__(self):
@@ -113,6 +112,8 @@ def discrete_spectrum(
     change that is not a root.  An empty spectrum (no roots in range) is
     returned with a warning.
     """
+    if mass <= 0.0:
+        raise ValueError("mass must be positive")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < ell_max <= _ELL_MAX:
@@ -125,7 +126,7 @@ def discrete_spectrum(
         warnings.warn(
             f"no angular frequencies below ell_max={ell_max} at "
             f"epsilon={epsilon}", numerics.RootCountWarning)
-    return AngularSpectrum(epsilon=epsilon, mass=mass, ell_values=roots)
+    return AngularSpectrum(epsilon=epsilon, ell_values=roots)
 
 
 def thermal_weights(spectrum: AngularSpectrum, n_max: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import json
 import os
@@ -179,6 +180,19 @@ def test_dmrg_experiment_and_failing_checks_exit_code(tmp_path):
                                       "entropy_within_5_percent"}
 
 
+def test_dmrg_with_zero_oracle_entropy_fails_its_check(tmp_path):
+    # at mass 1000 every mode is frozen: the oracle entropy is exactly 0, and
+    # DMRG's 2e-12 is outside 5 % of it
+    cfg = tmp_path / "dmrg.cfg"
+    cfg.write_text("experiment = dmrg\nmass = 1000\ntarget_length = 4\nlocal_dim = 4\n")
+    out = tmp_path / "dmrg.json"
+    assert run_main("--config", cfg, "--out", out, "--format", "json") == 1
+    payload = json.loads(out.read_text())
+    assert payload["rows"][-1]["oracle_entropy"] == 0.0
+    assert payload["checks"] == {"energy_within_1_percent": True,
+                                 "entropy_within_5_percent": False}
+
+
 def test_dmrg_max_iterations_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "dmrg.cfg"
     cfg.write_text("experiment = dmrg\ntarget_length = 12\nlocal_dim = 4\n"
@@ -279,6 +293,21 @@ def test_bessel_failure_is_numerical_failure_exit_code(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_of_memory_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    # as growth at dim_left = dim_right = 300, which draws a 90,000 x 90,000 unitary
+    def exhausted(params, rng):
+        raise MemoryError("Unable to allocate 121. GiB for an array with shape (90000, 90000)")
+
+    growth = dataclasses.replace(experiments.EXPERIMENTS["growth"], run=exhausted)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "growth", growth)
+    out = tmp_path / "growth.json"
+    assert run_main("--experiment", "growth", "--out", out, "--format", "json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: Unable to allocate")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 LOWER_BOUNDS = [
     ("symmetry", "trials", 1), ("growth", "trials", 1), ("truncation", "states", 1),
     ("modes", "samples", 1), ("kruskal", "points", 1),
@@ -314,10 +343,13 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     # nothing truncated, or no cut in one site: every check would pass on nothing
     (b"experiment = truncation\ndim = 4\nkeep = 4\n", "keep must be < dim"),
     (b"experiment = oracle\nn_sites = 1\n", "n_sites must be >= 2"),
+    # not "x must be positive" from the Bessel function
+    (b"experiment = spectrum\nmass = 0\n", "mass must be positive"),
+    (b"experiment = geom-entropy\nmass = -1\n", "mass must be positive"),
 ], ids=["seed", "utf8", "dmrg-mass-nan", "gs-tolerance-nan", "dmrg-mass-negative",
         "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
         "masses-duplicate", "epsilons-duplicate", "keep-not-below-dim",
-        "oracle-one-site"])
+        "oracle-one-site", "spectrum-mass-zero", "geom-entropy-mass-negative"])
 def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config, named):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(config)

@@ -22,32 +22,32 @@ def rand_symmetric(n, rng):
 # --- sym_eig -----------------------------------------------------------------
 
 def test_sym_eig_identity():
-    dec = numerics.sym_eig(np.eye(3))
-    assert np.allclose(dec.values, [1.0, 1.0, 1.0])
+    values, _ = numerics.sym_eig(np.eye(3))
+    assert np.allclose(values, [1.0, 1.0, 1.0])
 
 
 def test_sym_eig_diagonal_orders_ascending():
-    dec = numerics.sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(dec.values, [1.0, 2.0, 3.0])
+    values, vectors = numerics.sym_eig(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(values, [1.0, 2.0, 3.0])
     # eigenvectors permute the basis
-    assert np.allclose(np.abs(dec.vectors), np.eye(3)[:, [1, 2, 0]])
+    assert np.allclose(np.abs(vectors), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_sym_eig_reconstruction():
     m = rand_symmetric(8, np.random.default_rng(0))
-    dec = numerics.sym_eig(m)
-    rebuilt = (dec.vectors * dec.values) @ dec.vectors.T
+    values, vectors = numerics.sym_eig(m)
+    rebuilt = (vectors * values) @ vectors.T
     assert np.abs(rebuilt - m).max() <= 1e-10 * max(1.0, np.abs(m).max())
-    gram = dec.vectors.T @ dec.vectors
+    gram = vectors.T @ vectors
     assert np.abs(gram - np.eye(8)).max() <= 1e-10
 
 
 def test_sym_eig_residual_contract():
     m = rand_symmetric(12, np.random.default_rng(5))
-    dec = numerics.sym_eig(m)
+    values, vectors = numerics.sym_eig(m)
     norm = np.linalg.norm(m, 2)
     for k in range(12):
-        residual = np.linalg.norm(m @ dec.vectors[:, k] - dec.values[k] * dec.vectors[:, k])
+        residual = np.linalg.norm(m @ vectors[:, k] - values[k] * vectors[:, k])
         assert residual <= 1e-10 * max(1.0, norm)
 
 
@@ -55,8 +55,8 @@ def test_sym_eig_residual_contract():
 @settings(max_examples=40, deadline=None)
 def test_sym_eig_trace_is_eigenvalue_sum(n, seed):
     m = rand_symmetric(n, np.random.default_rng(seed))
-    dec = numerics.sym_eig(m)
-    assert abs(np.trace(m) - dec.values.sum()) <= 1e-10 * n * max(1.0, np.abs(m).max())
+    values, _ = numerics.sym_eig(m)
+    assert abs(np.trace(m) - values.sum()) <= 1e-10 * n * max(1.0, np.abs(m).max())
 
 
 def test_sym_eig_rejects_bad_input():
@@ -69,22 +69,22 @@ def test_sym_eig_rejects_bad_input():
 # --- svd ---------------------------------------------------------------------
 
 def test_svd_zero_matrix():
-    dec = numerics.svd(np.zeros((3, 2)))
-    assert np.allclose(dec.s, 0.0)
+    _, s, _ = numerics.svd(np.zeros((3, 2)))
+    assert np.allclose(s, 0.0)
 
 
 def test_svd_diagonal_descending():
-    dec = numerics.svd(np.diag([2.0, 5.0]))
-    assert np.allclose(dec.s, [5.0, 2.0])
+    _, s, _ = numerics.svd(np.diag([2.0, 5.0]))
+    assert np.allclose(s, [5.0, 2.0])
 
 
 def test_svd_matches_sym_eig_of_gram_matrix():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    dec = numerics.svd(a)
-    gram_eigs = numerics.sym_eig(a.conj().T @ a).values[::-1]  # descending
-    assert np.abs(dec.s ** 2 - gram_eigs[: dec.s.size]).max() <= 1e-10
-    rebuilt = dec.u @ np.diag(dec.s) @ dec.v.conj().T
+    u, s, v = numerics.svd(a)
+    gram_eigs = numerics.sym_eig(a.conj().T @ a)[0][::-1]  # descending
+    assert np.abs(s ** 2 - gram_eigs[: s.size]).max() <= 1e-10
+    rebuilt = u @ np.diag(s) @ v.conj().T
     assert np.abs(rebuilt - a).max() <= 1e-10
 
 
@@ -93,18 +93,18 @@ def test_svd_matches_sym_eig_of_gram_matrix():
 def test_svd_frobenius_identity(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    dec = numerics.svd(a)
-    assert abs(np.linalg.norm(a) ** 2 - (dec.s ** 2).sum()) <= 1e-10 * max(
+    _, s, _ = numerics.svd(a)
+    assert abs(np.linalg.norm(a) ** 2 - (s ** 2).sum()) <= 1e-10 * max(
         1.0, np.linalg.norm(a) ** 2)
 
 
 def test_sym_eig_lowest_pairs_match_the_full_solve():
     m = rand_symmetric(12, np.random.default_rng(4))
-    full = numerics.sym_eig(m)
-    low = numerics.sym_eig(m, lowest=2)
-    assert low.vectors.shape == (12, 2)
-    assert np.abs(low.values - full.values[:2]).max() <= 1e-12
-    assert np.abs(np.abs(low.vectors) - np.abs(full.vectors[:, :2])).max() <= 1e-10
+    full_values, full_vectors = numerics.sym_eig(m)
+    low_values, low_vectors = numerics.sym_eig(m, lowest=2)
+    assert low_vectors.shape == (12, 2)
+    assert np.abs(low_values - full_values[:2]).max() <= 1e-12
+    assert np.abs(np.abs(low_vectors) - np.abs(full_vectors[:, :2])).max() <= 1e-10
     with pytest.raises(ValueError, match="symmetric"):
         numerics.sym_eig(m + np.triu(np.ones((12, 12)), 1), lowest=1)
 
@@ -130,7 +130,7 @@ def test_smallest_eigenpair_two_level():
 def test_smallest_eigenpair_matches_dense(dim):
     m = rand_symmetric(dim, np.random.default_rng(dim))
     value, vector = numerics.smallest_eigenpair(lambda v: m @ v, dim, tol=1e-9)
-    dense = numerics.sym_eig(m).values[0]
+    dense = numerics.sym_eig(m)[0][0]
     assert abs(value - dense) <= 1e-8
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-9
 
@@ -158,7 +158,7 @@ def test_smallest_eigenpair_tolerance_is_absolute(monkeypatch):
     value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-10)
     assert len(attempts) == 1
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
-    assert abs(value - numerics.sym_eig(m).values[0]) <= 1e-9
+    assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
 
 
 def test_smallest_eigenpair_rejects_a_zero_start_vector():

@@ -222,8 +222,7 @@ def test_spectrum_validation():
 # --- thermal weights ------------------------------------------------------------
 
 def sample_spectrum(*ells):
-    return rindler.AngularSpectrum(epsilon=0.1, mass=1.0,
-                                   ell_values=np.array(ells))
+    return rindler.AngularSpectrum(epsilon=0.1, ell_values=np.array(ells))
 
 
 def test_weight_ratios_follow_boltzmann_law():
@@ -270,7 +269,7 @@ def test_mode_entropy_has_no_overflow_at_high_frequency():
 # --- geometric entropy --------------------------------------------------------------
 
 def test_geometric_entropy_of_empty_spectrum():
-    empty = rindler.AngularSpectrum(epsilon=0.1, mass=1.0, ell_values=np.array([]))
+    empty = rindler.AngularSpectrum(epsilon=0.1, ell_values=np.array([]))
     assert rindler.geometric_entropy(empty) == 0.0
 
 
