@@ -50,6 +50,8 @@ class ExperimentConfig:
                 f"{', '.join(sorted(experiments.EXPERIMENTS))}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.out is not None:
             object.__setattr__(self, "out", Path(self.out))
         spec = experiments.EXPERIMENTS[self.experiment]

@@ -72,6 +72,26 @@ def _check_growth(rows, params):
     return {"entropy_never_decreases": min(r["slack"] for r in rows) >= -1e-9}
 
 
+_PROJECTION_BATCH = 256  # random projections drawn and orthonormalised together
+
+
+def _best_random_distance(coeff, keep, count, rng):
+    """Smallest ||Q Q^H c - c||^2 over `count` random rank-`keep` projections,
+    each Q from the QR of one complex Gaussian matrix, real part drawn first.
+    A batch draws its projections in that order, so the stream is the same
+    as one projection at a time."""
+    dim = coeff.shape[0]
+    best = np.inf
+    for start in range(0, count, _PROJECTION_BATCH):
+        g = rng.standard_normal((min(_PROJECTION_BATCH, count - start), 2, dim, keep))
+        q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+        residual = q @ (q.conj().swapaxes(-1, -2) @ coeff)
+        residual -= coeff
+        # a complex residual viewed as floats: |z|^2 = re^2 + im^2
+        best = min(best, float(np.square(residual.view(float)).sum(axis=(-2, -1)).min()))
+    return best
+
+
 def _run_truncation(params, rng):
     dim, keep = params["dim"], params["keep"]
     rows = []
@@ -82,12 +102,8 @@ def _run_truncation(params, rng):
         projector = dec.left_vectors[:, :keep] @ dec.left_vectors[:, :keep].conj().T
         keep_distance = quantum_state.truncation_distance(
             state, projector @ state.coeff)
-        best_random = np.inf
-        for _ in range(params["random_projections"]):
-            q, _ = np.linalg.qr(rng.standard_normal((dim, keep))
-                                + 1j * rng.standard_normal((dim, keep)))
-            dist = quantum_state.truncation_distance(state, q @ q.conj().T @ state.coeff)
-            best_random = min(best_random, dist)
+        best_random = _best_random_distance(state.coeff, keep,
+                                            params["random_projections"], rng)
         rows.append({"state": index, "keep_distance": keep_distance,
                      "schmidt_tail": tail, "best_random_distance": best_random})
     return rows

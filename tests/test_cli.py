@@ -329,6 +329,7 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
 
 @pytest.mark.parametrize("config, named", [
     (b"experiment = symmetry\nseed = abc\n", "seed"),
+    (b"experiment = symmetry\nseed = -1\n", "seed must be >= 0"),
     (b"experiment = symmetry\n# \xff\xfe not UTF-8\n", "config file"),
     (b"experiment = dmrg\nmass = nan\n", "mass"),
     (b"experiment = dmrg\ngs_tolerance = nan\n", "gs_tolerance"),
@@ -346,8 +347,8 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     # not "x must be positive" from the Bessel function
     (b"experiment = spectrum\nmass = 0\n", "mass must be positive"),
     (b"experiment = geom-entropy\nmass = -1\n", "mass must be positive"),
-], ids=["seed", "utf8", "dmrg-mass-nan", "gs-tolerance-nan", "dmrg-mass-negative",
-        "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
+], ids=["seed", "seed-negative", "utf8", "dmrg-mass-nan", "gs-tolerance-nan",
+        "dmrg-mass-negative", "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
         "masses-duplicate", "epsilons-duplicate", "keep-not-below-dim",
         "oracle-one-site", "spectrum-mass-zero", "geom-entropy-mass-negative"])
 def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config, named):
@@ -358,6 +359,13 @@ def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config, name
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert run_main("--experiment", "symmetry", "--seed", -1, "--out", out) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kruskal_points_is_the_total_number_of_round_trips(tmp_path):

@@ -255,6 +255,53 @@ def test_kept_projection_beats_random_projections():
         assert best <= qs.truncation_distance(state, q @ q.conj().T @ state.coeff) + 1e-12
 
 
+# --- the truncation runner --------------------------------------------------------
+
+def _truncation_one_projection_at_a_time(params, rng):
+    """The truncation runner as a loop with one QR and one distance per
+    random projection: the reference for the batched runner."""
+    dim, keep = params["dim"], params["keep"]
+    rows = []
+    for index in range(params["states"]):
+        state = qs.random_state(dim, dim, rng)
+        dec = qs.schmidt(state)
+        tail = float((dec.coefficients[keep:] ** 2).sum())
+        projector = dec.left_vectors[:, :keep] @ dec.left_vectors[:, :keep].conj().T
+        keep_distance = qs.truncation_distance(state, projector @ state.coeff)
+        best = np.inf
+        for _ in range(params["random_projections"]):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, keep))
+                                + 1j * rng.standard_normal((dim, keep)))
+            best = min(best, qs.truncation_distance(state, q @ q.conj().T @ state.coeff))
+        rows.append({"state": index, "keep_distance": keep_distance,
+                     "schmidt_tail": tail, "best_random_distance": best})
+    return rows
+
+
+# 300 projections cross a batch boundary and end in a partial batch
+@pytest.mark.parametrize("seed, projections", [(0, 200), (1, 300), (2, 300), (3, 1)])
+def test_batched_truncation_matches_one_projection_at_a_time(seed, projections):
+    params = {"states": 4, "dim": 6, "keep": 3, "random_projections": projections}
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _truncation_one_projection_at_a_time(params, rng_ref)
+    rows = experiments.EXPERIMENTS["truncation"].run(params, rng)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert row.keys() == ref.keys()
+        for key in ("state", "keep_distance", "schmidt_tail"):
+            assert row[key] == ref[key]
+        best = ref["best_random_distance"]
+        assert abs(row["best_random_distance"] - best) <= 1e-15 * best
+
+
+def test_truncation_orthonormalises_each_states_projections_at_once(qr_calls):
+    experiments.EXPERIMENTS["truncation"].run(
+        {"states": 3, "dim": 6, "keep": 3, "random_projections": 200},
+        np.random.default_rng(5))
+    assert qr_calls == [(200, 6, 3)] * 3
+
+
 # --- unitary evolution of product states ------------------------------------------
 
 def test_evolve_identity_preserves_entropies():
