@@ -50,6 +50,8 @@ class ExperimentConfig:
                 f"{', '.join(sorted(experiments.EXPERIMENTS))}")
         if self.fmt not in ("csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise UsageError("seed must be an integer")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
         if self.out is not None:

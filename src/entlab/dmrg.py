@@ -126,6 +126,45 @@ class Superblock:
         out -= np.matmul(self.edge_phi, rows).reshape(n, n)
         return out.ravel()
 
+    def sector(self):
+        """The operator on the reflection-symmetric sector M = M^T, in
+        orthonormal packed coordinates: the functions (pack, unpack, apply).
+
+        A packed vector holds M's diagonal, then sqrt(2) times its strict
+        upper triangle, so pack is an isometry onto length n(n+1)/2, unpack
+        returns an exactly symmetric M, and apply = pack . matvec . unpack is
+        self-adjoint.  On a symmetric M the matvec is X + X^T with
+        X = H M - (phi x I) M (phi x I)^T / 2: one n^3 product of the block
+        Hamiltonian instead of two.
+        """
+        n = self.block_dim
+        k = self.edge_phi.shape[0]
+        row, col = np.triu_indices(n, 1)  # the strict upper triangle, row by row
+        diagonal = np.arange(n)
+        # flat index in M of each packed entry, and packed index of each entry of M
+        gather = np.concatenate([diagonal * (n + 1), row * n + col])
+        scatter = np.empty((n, n), dtype=np.intp)
+        scatter[diagonal, diagonal] = diagonal
+        scatter[row, col] = scatter[col, row] = np.arange(n, gather.size)
+        scatter = scatter.ravel()
+        scale = np.ones(gather.size)
+        scale[n:] = np.sqrt(2.0)
+
+        def pack(m: np.ndarray) -> np.ndarray:
+            return m.ravel()[gather] * scale
+
+        def unpack(vec: np.ndarray) -> np.ndarray:
+            return (vec / scale)[scatter].reshape(n, n)
+
+        def apply(vec: np.ndarray) -> np.ndarray:
+            m = unpack(vec)
+            x = self.hamiltonian @ m
+            rows = (self.edge_phi @ m.reshape(k, -1)).reshape(n, k, n // k)
+            x -= 0.5 * np.matmul(self.edge_phi, rows).reshape(n, n)
+            return pack(x + x.T)
+
+        return pack, unpack, apply
+
     def dense(self) -> np.ndarray:
         n = self.block_dim
         edge = _edge_field(self.edge_phi, n)
@@ -167,16 +206,18 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     """
     enlarged = _enlarge(block, config)
     n = enlarged.basis_size
+    # the superblock is reflection symmetric and its ground state M = M^T:
+    # solve on that sector alone
+    pack, unpack, apply = Superblock(enlarged.hamiltonian, enlarged.edge_phi).sector()
     warm = None
     if block.ground_state is not None:
         # the new site in its local ground state, the rest as last solved
-        warm = np.pad(block.ground_state, (0, n - block.basis_size)).ravel()
+        warm = pack(np.pad(block.ground_state, (0, n - block.basis_size)))
         warm /= np.linalg.norm(warm)
-    superblock = Superblock(enlarged.hamiltonian, enlarged.edge_phi)
     energy, psi = numerics.smallest_eigenpair(
-        superblock.matvec, superblock.dim, tol=config.gs_tolerance, v0=warm)
+        apply, n * (n + 1) // 2, tol=config.gs_tolerance, v0=warm)
 
-    matrix = psi.reshape(n, n)
+    matrix = unpack(psi)
     # psi is real, so rho and its eigenvectors are; weights come descending
     rho = reduced_density_left(BipartiteState(matrix))
     w = rho.eigenvalues

@@ -37,10 +37,10 @@ class NumericalError(RuntimeError):
 
 
 class EigensolverError(NumericalError):
-    """Iterative eigensolver failed to meet its residual contract.
+    """Eigensolver failed to meet its residual contract.
 
-    `iterations` is the number of Lanczos steps (operator applications)
-    made before giving up."""
+    `iterations` is the number of operator applications made before giving
+    up."""
 
     def __init__(self, message: str, iterations: int):
         super().__init__(f"{message} ({iterations} operator applications)")
@@ -138,11 +138,12 @@ def smallest_eigenpair(
     """Smallest eigenvalue and eigenvector of a real self-adjoint operator.
 
     `apply` maps a vector of length `dim` to H @ v.  Small problems fall back
-    to a dense solve; larger ones use a Lanczos iteration whose result is
-    verified against the residual contract ||H v - E v|| <= tol and re-run
-    tighter if needed, at most three attempts of 20000 restarts each.
-    Lanczos stops at a residual of tol |E|, so its tolerance is divided by
-    the Rayleigh quotient of v0, an estimate of |E|, when that exceeds 1.
+    to a dense solve; larger ones use a Lanczos iteration, re-run tighter if
+    needed, at most three attempts of 20000 restarts each.  Either result is
+    verified against the residual contract ||H v - E v|| <= tol by one more
+    application of H.  Lanczos stops at a residual of tol |E|, so its
+    tolerance is divided by the Rayleigh quotient of v0, an estimate of |E|,
+    when that exceeds 1.
 
     Raises EigensolverError on non-convergence.
     """
@@ -151,7 +152,13 @@ def smallest_eigenpair(
     if dim <= 16:
         h = np.stack([np.asarray(apply(col)) for col in np.eye(dim)], axis=1)
         values, vectors = sym_eig(h)
-        return float(values[0]), vectors[:, 0]
+        value, vector = float(values[0]), vectors[:, 0]
+        residual = float(np.linalg.norm(apply(vector) - value * vector))
+        if residual > tol:
+            raise EigensolverError(
+                f"dense solve residual {residual:.3e} above tolerance "
+                f"{tol:.3e}", dim + 1)
+        return value, vector
 
     if v0 is None:
         v0 = np.random.default_rng(_START_SEED).standard_normal(dim)

@@ -368,6 +368,13 @@ def test_negative_seed_flag_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None],
+                         ids=["float", "integral-float", "str", "bool", "none"])
+def test_seed_that_is_not_an_integer_is_usage_error(seed):
+    with pytest.raises(cli.UsageError, match="^seed must be an integer$"):
+        cli.ExperimentConfig(experiment="symmetry", seed=seed)
+
+
 def test_kruskal_points_is_the_total_number_of_round_trips(tmp_path):
     cfg = tmp_path / "kr.cfg"
     cfg.write_text("experiment = kruskal\npoints = 2\nmasses = 0.5,1,2\n")

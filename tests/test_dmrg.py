@@ -102,6 +102,97 @@ def test_superblock_matvec_after_a_truncating_step():
     assert np.abs(reference @ v - superblock.matvec(v)).max() <= 1e-12
 
 
+def truncated_superblock():
+    # the kept basis (m = 3) times a bare site: edge_phi (4 x 4) acts on the
+    # leading factor of the 12-state block
+    config = dmrg.DmrgConfig(local_dim=4, kept_states=3, mass=0.8, target_length=6)
+    block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
+    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
+    assert superblock.block_dim == 12 and superblock.edge_phi.shape == (4, 4)
+    return superblock
+
+
+def test_sector_packing_is_an_isometry_of_symmetric_matrices():
+    pack, unpack, _ = truncated_superblock().sector()
+    a = np.random.default_rng(2).standard_normal((12, 12))
+    m = a + a.T
+    packed = pack(m)
+    assert packed.shape == (78,)
+    assert abs(np.linalg.norm(packed) - np.linalg.norm(m)) <= 1e-15 * np.linalg.norm(m)
+    back = unpack(packed)
+    assert np.array_equal(back, back.T)
+    assert np.array_equal(np.diag(back), np.diag(m))
+    # sqrt(2) x / sqrt(2) rounds back to x or to a neighbouring double
+    assert np.all(np.abs(back - m) <= np.spacing(np.abs(m)))
+
+
+def test_sector_apply_is_the_full_matvec_on_symmetric_matrices():
+    superblock = truncated_superblock()
+    pack, unpack, apply = superblock.sector()
+    a = np.random.default_rng(3).standard_normal((12, 12))
+    m = unpack(pack(a + a.T))
+    full = superblock.matvec(m.ravel()).reshape(12, 12)
+    assert np.linalg.norm(unpack(apply(pack(m))) - full) <= 1e-12 * np.linalg.norm(full)
+
+
+def test_sector_apply_is_self_adjoint():
+    _, _, apply = truncated_superblock().sector()
+    dense = np.stack([apply(col) for col in np.eye(78)], axis=1)
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+
+
+def full_space_step(block, config):
+    """The growth step with its ground state solved on the whole block x
+    mirror space by the full-space matvec, and truncated as dmrg_step does."""
+    enlarged = dmrg._enlarge(block, config)
+    n = enlarged.basis_size
+    superblock = dmrg.Superblock(enlarged.hamiltonian, enlarged.edge_phi)
+    energy, psi = numerics.smallest_eigenpair(superblock.matvec, n * n,
+                                              tol=config.gs_tolerance)
+    matrix = psi.reshape(n, n)
+    rho = qs.reduced_density_left(qs.BipartiteState(matrix))
+    w = rho.eigenvalues
+    kept = min(config.kept_states, n)
+    while (kept < n and w[kept] > dmrg._DEGENERACY_TOL
+           and w[kept - 1] - w[kept] <= dmrg._DEGENERACY_TOL):
+        kept += 1
+    basis = rho.eigenvectors[:, :kept]
+    kept_ham = basis.T @ enlarged.hamiltonian @ basis
+    edge = basis.T @ dmrg._edge_field(enlarged.edge_phi, n) @ basis
+    truncated = dmrg.DmrgBlock(length=enlarged.length,
+                               hamiltonian=0.5 * (kept_ham + kept_ham.T),
+                               edge_phi=edge)
+    return truncated, energy, qs.von_neumann_entropy(rho), kept
+
+
+@pytest.mark.parametrize("config", [
+    dmrg.DmrgConfig(),
+    dmrg.DmrgConfig(mass=0.1, local_dim=12, kept_states=16, target_length=6),
+], ids=["default", "mass-0.1"])
+def test_step_matches_the_full_space_solve(config, monkeypatch):
+    solved = []
+
+    def recording(state):
+        solved.append(state.coeff)
+        return qs.reduced_density_left(state)
+
+    monkeypatch.setattr(dmrg, "reduced_density_left", recording)
+    block = reference = empty_block()
+    for _ in range(config.target_length // 2):
+        enlarged = dmrg._enlarge(block, config)
+        superblock = dmrg.Superblock(enlarged.hamiltonian, enlarged.edge_phi)
+        block, iterate = dmrg.dmrg_step(block, config)
+        m = solved[-1]
+        assert np.array_equal(m, m.T)
+        residual = superblock.matvec(m.ravel()) - iterate.ground_energy * m.ravel()
+        assert np.linalg.norm(residual) <= config.gs_tolerance
+
+        reference, energy, entropy, kept = full_space_step(reference, config)
+        assert abs(iterate.ground_energy - energy) <= 1e-12 * abs(energy)
+        assert abs(iterate.half_chain_entropy - entropy) <= 1e-10
+        assert iterate.kept == kept
+
+
 # --- one step --------------------------------------------------------------------------
 
 def test_lossless_step_has_zero_truncation_weight():
@@ -126,7 +217,7 @@ def test_density_matrix_spectrum_properties_at_step():
 
 def test_step_decomposes_its_density_matrix_once(decompositions):
     config = dmrg.DmrgConfig(local_dim=8)
-    dmrg.dmrg_step(empty_block(), config)  # superblock dim 64: Lanczos
+    dmrg.dmrg_step(empty_block(), config)  # packed superblock dim 36: Lanczos
     assert decompositions == ["eigh"]
 
 

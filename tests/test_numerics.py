@@ -135,6 +135,17 @@ def test_smallest_eigenpair_matches_dense(dim):
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-9
 
 
+def test_smallest_eigenpair_dense_path_meets_the_residual_contract():
+    m = rand_symmetric(12, np.random.default_rng(3))
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 12, tol=1e-10)
+    assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-12
+    assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
+    # a dense eigenvector's residual is ~1e-15, never 1e-18
+    with pytest.raises(numerics.EigensolverError) as err:
+        numerics.smallest_eigenpair(lambda v: m @ v, 12, tol=1e-18)
+    assert err.value.iterations == 13
+
+
 def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
     m = rand_symmetric(60, np.random.default_rng(2))
     monkeypatch.setattr(numerics, "_MAX_RESTARTS", 1)
