@@ -106,7 +106,8 @@ def _coerce(raw, default, key):
     comma-separated list of distinct floats."""
     try:
         if isinstance(default, int):
-            return raw if isinstance(raw, int) else int(str(raw))
+            # a bool is an int to Python, and int("True") fails
+            return raw if type(raw) is int else int(str(raw))
         if isinstance(default, float):
             return _finite(raw if isinstance(raw, float) else str(raw))
         values = tuple(_finite(tok) for tok in str(raw).split(",") if tok.strip())

@@ -114,16 +114,20 @@ class Superblock:
     def dim(self) -> int:
         return self.block_dim ** 2
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
+    def _edge_term(self, m: np.ndarray) -> np.ndarray:
+        """(phi x I) M (phi x I)^T: phi on the site index of the rows, then,
+        row by row, on the site index of the columns."""
         n = self.block_dim
         k = self.edge_phi.shape[0]
+        rows = (self.edge_phi @ m.reshape(k, -1)).reshape(n, k, n // k)
+        return np.matmul(self.edge_phi, rows).reshape(n, n)
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        n = self.block_dim
         m = vec.reshape(n, n)
         out = self.hamiltonian @ m
         out += m @ self.hamiltonian
-        # (phi x I) M (phi x I)^T: phi on the site index of the rows, then,
-        # row by row, on the site index of the columns
-        rows = (self.edge_phi @ m.reshape(k, -1)).reshape(n, k, n // k)
-        out -= np.matmul(self.edge_phi, rows).reshape(n, n)
+        out -= self._edge_term(m)
         return out.ravel()
 
     def sector(self):
@@ -138,7 +142,6 @@ class Superblock:
         Hamiltonian instead of two.
         """
         n = self.block_dim
-        k = self.edge_phi.shape[0]
         row, col = np.triu_indices(n, 1)  # the strict upper triangle, row by row
         diagonal = np.arange(n)
         # flat index in M of each packed entry, and packed index of each entry of M
@@ -159,8 +162,7 @@ class Superblock:
         def apply(vec: np.ndarray) -> np.ndarray:
             m = unpack(vec)
             x = self.hamiltonian @ m
-            rows = (self.edge_phi @ m.reshape(k, -1)).reshape(n, k, n // k)
-            x -= 0.5 * np.matmul(self.edge_phi, rows).reshape(n, n)
+            x -= 0.5 * self._edge_term(m)
             return pack(x + x.T)
 
         return pack, unpack, apply

@@ -234,26 +234,25 @@ def _run_kruskal(params, rng):
     base, extra = divmod(params["points"], max(1, len(masses)))
     for i, mass in enumerate(masses):
         per_mass = base + (i < extra)  # `points` round trips in all
-        r_vals = 2 * mass + 8 * mass * (1.0 - rng.random(per_mass))  # (2M, 10M]
-        t_vals = -10 * mass + 20 * mass * rng.random(per_mass)
-        for r, t in zip(r_vals, t_vals):
-            point = rindler.SchwarzschildPoint(r=float(r), t=float(t), mass=mass)
-            kp = rindler.to_kruskal(point)
-            back = rindler.from_kruskal(kp, mass)
-            rel = max(abs(back.r - r) / abs(r),
-                      abs(back.t - t) / max(1.0, abs(t)))
-            rows.append({"status": "ok", "mass": mass, "r": float(r), "t": float(t),
-                         "u": kp.u, "v": kp.v, "uv": kp.u * kp.v,
-                         "rel_error": float(rel)})
+        r = 2 * mass + 8 * mass * (1.0 - rng.random(per_mass))  # (2M, 10M]
+        t = -10 * mass + 20 * mass * rng.random(per_mass)
+        u, v = rindler.to_kruskal(r, t, mass)
+        back_r, back_t = rindler.from_kruskal(u, v, mass)
+        rel = np.maximum(np.abs(back_r - r) / np.abs(r),
+                         np.abs(back_t - t) / np.maximum(1.0, np.abs(t)))
+        rows += [{"status": "ok", "mass": mass, "r": r_i, "t": t_i, "u": u_i,
+                  "v": v_i, "uv": u_i * v_i, "rel_error": e}
+                 for r_i, t_i, u_i, v_i, e in zip(r.tolist(), t.tolist(), u.tolist(),
+                                                  v.tolist(), rel.tolist())]
         # probe sequence r -> 2M+: u v must vanish toward the horizon
-        for k in range(1, 9):
-            r = 2 * mass * (1.0 + 10.0 ** -k)
-            kp = rindler.to_kruskal(rindler.SchwarzschildPoint(r=r, t=0.0, mass=mass))
-            rows.append({"status": "probe", "mass": mass, "r": r, "t": 0.0,
-                         "u": kp.u, "v": kp.v, "uv": kp.u * kp.v, "rel_error": None})
+        r = 2 * mass * (1.0 + 10.0 ** -np.arange(1.0, 9.0))
+        u, v = rindler.to_kruskal(r, 0.0, mass)
+        rows += [{"status": "probe", "mass": mass, "r": r_i, "t": 0.0, "u": u_i,
+                  "v": v_i, "uv": u_i * v_i, "rel_error": None}
+                 for r_i, u_i, v_i in zip(r.tolist(), u.tolist(), v.tolist())]
         # the horizon itself is rejected input; record that
         try:
-            rindler.SchwarzschildPoint(r=2 * mass, t=0.0, mass=mass)
+            rindler.to_kruskal(2 * mass, 0.0, mass)
             status = "unexpectedly-accepted"
         except ValueError:
             status = "rejected"

@@ -235,6 +235,5 @@ def fock_ground_state(
             if v[i, j] != 0.0:
                 h += v[i, j] * _embed({i: phis[i], j: phis[j]}, dims)
 
-    values, vectors = numerics.sym_eig(h, lowest=1)
-    state = BipartiteState(vectors[:, 0].reshape(d ** cut, d ** (n - cut)))
-    return state, float(values[0])
+    energy, vector = numerics.smallest_eigenpair(lambda vec: h @ vec, size)
+    return BipartiteState(vector.reshape(d ** cut, d ** (n - cut))), energy

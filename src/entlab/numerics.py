@@ -13,7 +13,6 @@ import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from scipy.special import k0, loggamma
 
@@ -91,14 +90,12 @@ def use_one_blas_thread() -> None:
                 break
 
 
-def sym_eig(matrix: np.ndarray,
-            lowest: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (values, vectors) of a real symmetric (or complex
     Hermitian) matrix.
 
     Symmetry is verified on entry; eigenvalues come back ascending with
-    orthonormal eigenvector columns.  With `lowest`, only that many of the
-    smallest eigenpairs are computed.
+    orthonormal eigenvector columns.
     """
     m = np.asarray(matrix)
     _require_finite(m, "matrix")
@@ -107,9 +104,7 @@ def sym_eig(matrix: np.ndarray,
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     if np.abs(m - m.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric/Hermitian")
-    if lowest is None:
-        return np.linalg.eigh(m)
-    return scipy.linalg.eigh(m, subset_by_index=[0, lowest - 1])
+    return np.linalg.eigh(m)
 
 
 def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ exterior.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,8 +19,6 @@ from .quantum_state import bose_entropy
 __all__ = [
     "AngularMode",
     "AngularSpectrum",
-    "SchwarzschildPoint",
-    "KruskalPoint",
     "angular_wave",
     "sign_changes",
     "scaled_wave",
@@ -32,7 +29,7 @@ __all__ = [
     "from_kruskal",
 ]
 
-BETA = 2.0 * math.pi  # inverse temperature of the half-space state
+BETA = 2.0 * np.pi  # inverse temperature of the half-space state
 # A(ell) ~ e^{-pi ell/2} leaves the normal double range near ell = 451
 _ELL_MAX = 400.0
 
@@ -156,48 +153,30 @@ def geometric_entropy(spectrum: AngularSpectrum) -> float:
 # --- Kruskal-Szekeres chart of the Schwarzschild exterior -------------------
 
 
-@dataclass(frozen=True)
-class SchwarzschildPoint:
-    """Exterior point (r > 2M, t) of a black hole of mass M."""
-
-    r: float
-    t: float
-    mass: float
-
-    def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.r <= 2.0 * self.mass:
-            raise ValueError(
-                f"r={self.r} not outside the horizon r > 2M = {2 * self.mass}; "
-                "the chart covers the exterior branch only")
-
-
-@dataclass(frozen=True)
-class KruskalPoint:
-    u: float
-    v: float
-
-
-def to_kruskal(point: SchwarzschildPoint) -> KruskalPoint:
-    """Chart map: u v = 16 M^2 (r/2M - 1) exp(r/2M - 1), u/v = exp(t/2M)."""
-    m = point.mass
-    rho = point.r / (2.0 * m)
-    uv = 16.0 * m * m * (rho - 1.0) * math.exp(rho - 1.0)
-    root = math.sqrt(uv)
-    return KruskalPoint(u=root * math.exp(point.t / (4.0 * m)),
-                        v=root * math.exp(-point.t / (4.0 * m)))
-
-
-def from_kruskal(point: KruskalPoint, mass: float) -> SchwarzschildPoint:
-    """Inverse chart map on the exterior branch (u, v > 0), via the Lambert W
-    function."""
-    if mass <= 0.0:
+def to_kruskal(r, t, mass: float):
+    """Chart map (r, t) -> (u, v) of the exterior of a black hole of mass M,
+    elementwise over scalars or arrays: u v = 16 M^2 (r/2M - 1) exp(r/2M - 1),
+    u/v = exp(t/2M).  Raises ValueError unless M > 0 and every r > 2M."""
+    if not mass > 0.0:  # written so that NaN fails, as is every check below
         raise ValueError("mass must be positive")
-    if point.u <= 0.0 or point.v <= 0.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 2.0 * mass):
+        raise ValueError(f"r not outside the horizon r > 2M = {2 * mass}; "
+                         "the chart covers the exterior branch only")
+    rho = r / (2.0 * mass)
+    root = np.sqrt(16.0 * mass * mass * (rho - 1.0) * np.exp(rho - 1.0))
+    t = np.asarray(t, dtype=float)
+    return root * np.exp(t / (4.0 * mass)), root * np.exp(-t / (4.0 * mass))
+
+
+def from_kruskal(u, v, mass: float):
+    """Inverse chart map (u, v) -> (r, t) on the exterior branch, elementwise,
+    via the Lambert W function.  Raises ValueError unless M > 0 and every
+    u > 0 and v > 0."""
+    if not mass > 0.0:
+        raise ValueError("mass must be positive")
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if not (np.all(u > 0.0) and np.all(v > 0.0)):
         raise ValueError("exterior branch requires u > 0 and v > 0")
-    uv = point.u * point.v
-    w = float(lambertw(uv / (16.0 * mass * mass)).real)
-    r = 2.0 * mass * (1.0 + w)
-    t = 2.0 * mass * math.log(point.u / point.v)
-    return SchwarzschildPoint(r=r, t=t, mass=mass)
+    w = lambertw(u * v / (16.0 * mass * mass)).real
+    return 2.0 * mass * (1.0 + w), 2.0 * mass * np.log(u / v)

@@ -375,6 +375,12 @@ def test_seed_that_is_not_an_integer_is_usage_error(seed):
         cli.ExperimentConfig(experiment="symmetry", seed=seed)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_for_an_integer_parameter_is_usage_error(value):
+    with pytest.raises(cli.UsageError, match=f"^bad value for trials: {value}$"):
+        cli.ExperimentConfig(experiment="symmetry", params={"trials": value})
+
+
 def test_kruskal_points_is_the_total_number_of_round_trips(tmp_path):
     cfg = tmp_path / "kr.cfg"
     cfg.write_text("experiment = kruskal\npoints = 2\nmasses = 0.5,1,2\n")

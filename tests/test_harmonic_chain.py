@@ -156,6 +156,28 @@ def test_fock_entropy_matches_covariance_oracle():
     assert abs(s_fock[20] - s_cov) <= 1e-4
 
 
+@pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
+def test_fock_ground_state_is_the_dense_ground_state(n, d):
+    # dims 36 and 64: above the eigensolver's dense limit of 16
+    v = chain(n, 0.7)
+    ops = [hc.oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
+
+    def on_sites(factors):  # kron over the sites, the identity where absent
+        out = np.eye(1)
+        for s in range(n):
+            out = np.kron(out, factors.get(s, np.eye(d)))
+        return out
+
+    h = sum(on_sites({i: ops[i][0]}) for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = h + v[i, j] * on_sites({i: ops[i][1], j: ops[j][1]})
+    values, vectors = np.linalg.eigh(h)
+    state, energy = hc.fock_ground_state(v, d)
+    assert abs(energy - values[0]) <= 1e-12 * abs(values[0])
+    assert abs(state.coeff.ravel() @ vectors[:, 0]) >= 1.0 - 1e-12
+
+
 def test_fock_rejects_oversized_basis_and_bad_cutoff():
     with pytest.raises(ValueError, match="exceeds limit"):
         hc.fock_ground_state(chain(4, 1.0), d=16)

@@ -98,17 +98,6 @@ def test_svd_frobenius_identity(rows, cols, seed):
         1.0, np.linalg.norm(a) ** 2)
 
 
-def test_sym_eig_lowest_pairs_match_the_full_solve():
-    m = rand_symmetric(12, np.random.default_rng(4))
-    full_values, full_vectors = numerics.sym_eig(m)
-    low_values, low_vectors = numerics.sym_eig(m, lowest=2)
-    assert low_vectors.shape == (12, 2)
-    assert np.abs(low_values - full_values[:2]).max() <= 1e-12
-    assert np.abs(np.abs(low_vectors) - np.abs(full_vectors[:, :2])).max() <= 1e-10
-    with pytest.raises(ValueError, match="symmetric"):
-        numerics.sym_eig(m + np.triu(np.ones((12, 12)), 1), lowest=1)
-
-
 # --- smallest_eigenpair --------------------------------------------------------
 
 def test_smallest_eigenpair_diagonal():

@@ -288,36 +288,70 @@ def test_geometric_entropy_grows_as_regulator_shrinks():
 # --- Kruskal chart --------------------------------------------------------------------
 
 def test_kruskal_point_at_r_4m():
-    kp = rindler.to_kruskal(rindler.SchwarzschildPoint(r=4.0, t=0.0, mass=1.0))
-    assert abs(kp.u * kp.v - 16.0 * math.e) <= 1e-12 * 16 * math.e
-    assert abs(kp.u - 4.0 * math.sqrt(math.e)) <= 1e-12
-    assert abs(kp.v - 4.0 * math.sqrt(math.e)) <= 1e-12
+    u, v = rindler.to_kruskal(4.0, 0.0, 1.0)
+    assert abs(u * v - 16.0 * math.e) <= 1e-12 * 16 * math.e
+    assert abs(u - 4.0 * math.sqrt(math.e)) <= 1e-12
+    assert abs(v - 4.0 * math.sqrt(math.e)) <= 1e-12
 
 
 def test_time_shift_scales_u_over_v():
     m, k = 1.5, 7.0
-    a = rindler.to_kruskal(rindler.SchwarzschildPoint(r=5.0, t=1.0, mass=m))
-    b = rindler.to_kruskal(rindler.SchwarzschildPoint(r=5.0, t=1.0 + 2 * m * math.log(k), mass=m))
-    assert abs((b.u / b.v) / (a.u / a.v) - k) <= 1e-12 * k
+    u, v = rindler.to_kruskal(5.0, [1.0, 1.0 + 2 * m * math.log(k)], m)
+    assert abs((u[1] / v[1]) / (u[0] / v[0]) - k) <= 1e-12 * k
 
 
 def test_uv_vanishes_toward_horizon():
-    products = []
-    for exponent in range(1, 9):
-        r = 2.0 * (1.0 + 10.0 ** -exponent)
-        kp = rindler.to_kruskal(rindler.SchwarzschildPoint(r=r, t=0.3, mass=1.0))
-        products.append(kp.u * kp.v)
-    assert all(b < a for a, b in zip(products, products[1:]))
+    r = 2.0 * (1.0 + 10.0 ** -np.arange(1.0, 9.0))
+    u, v = rindler.to_kruskal(r, 0.3, 1.0)
+    products = u * v
+    assert np.all(products[1:] < products[:-1])
     assert products[-1] < 1e-6 * products[0]
 
 
 def test_horizon_and_interior_rejected():
     with pytest.raises(ValueError, match="exterior"):
-        rindler.SchwarzschildPoint(r=2.0, t=0.0, mass=1.0)
+        rindler.to_kruskal(2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        rindler.SchwarzschildPoint(r=1.0, t=0.0, mass=1.0)
+        rindler.to_kruskal(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        rindler.from_kruskal(rindler.KruskalPoint(u=0.0, v=1.0), mass=1.0)
+        rindler.from_kruskal(0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+def test_chart_rejects_a_mass_that_is_not_positive(mass):
+    with pytest.raises(ValueError, match="mass"):
+        rindler.to_kruskal(4.0, 0.0, mass)
+    with pytest.raises(ValueError, match="mass"):
+        rindler.from_kruskal(1.0, 1.0, mass)
+
+
+@pytest.mark.parametrize("bad_r", [2.0, 1.0, math.nan], ids=["horizon", "interior", "nan"])
+def test_one_bad_radius_rejects_the_whole_array(bad_r):
+    r = np.linspace(2.5, 9.0, 7)
+    r[4] = bad_r
+    with pytest.raises(ValueError, match="exterior"):
+        rindler.to_kruskal(r, np.zeros(7), 1.0)
+
+
+@pytest.mark.parametrize("side", ["u", "v"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_one_bad_kruskal_coordinate_rejects_the_whole_array(side, bad):
+    coords = {"u": np.linspace(0.5, 3.0, 6), "v": np.linspace(1.0, 2.0, 6)}
+    coords[side][2] = bad
+    with pytest.raises(ValueError, match="exterior"):
+        rindler.from_kruskal(coords["u"], coords["v"], 1.0)
+
+
+def test_array_chart_equals_the_scalar_calls():
+    rng = np.random.default_rng(3)
+    mass = 1.5
+    r = 2 * mass + 8 * mass * (1.0 - rng.random(200))
+    t = -10 * mass + 20 * mass * rng.random(200)
+    u, v = rindler.to_kruskal(r, t, mass)
+    back_r, back_t = rindler.from_kruskal(u, v, mass)
+    for i in range(r.size):
+        assert rindler.to_kruskal(r[i], t[i], mass) == (u[i], v[i])
+        assert rindler.from_kruskal(u[i], v[i], mass) == (back_r[i], back_t[i])
 
 
 @given(st.floats(1e-6, 8.0), st.floats(-10.0, 10.0), st.sampled_from([0.5, 1.0, 2.0]))
@@ -325,7 +359,6 @@ def test_horizon_and_interior_rejected():
 def test_round_trip(r_offset_factor, t_factor, mass):
     r = 2.0 * mass * (1.0 + 1e-9) + r_offset_factor * mass
     t = t_factor * mass
-    point = rindler.SchwarzschildPoint(r=r, t=t, mass=mass)
-    back = rindler.from_kruskal(rindler.to_kruskal(point), mass)
-    assert abs(back.r - r) <= 1e-10 * r
-    assert abs(back.t - t) <= 1e-10 * max(1.0, abs(t))
+    back_r, back_t = rindler.from_kruskal(*rindler.to_kruskal(r, t, mass), mass)
+    assert abs(back_r - r) <= 1e-10 * r
+    assert abs(back_t - t) <= 1e-10 * max(1.0, abs(t))
