@@ -97,9 +97,9 @@ def _run_truncation(params, rng):
     rows = []
     for index in range(params["states"]):
         state = quantum_state.random_state(dim, dim, rng)
-        dec = quantum_state.schmidt(state)
-        tail = float((dec.coefficients[keep:] ** 2).sum())
-        projector = dec.left_vectors[:, :keep] @ dec.left_vectors[:, :keep].conj().T
+        u, s, _ = quantum_state.schmidt(state)
+        tail = float((s[keep:] ** 2).sum())
+        projector = u[:, :keep] @ u[:, :keep].conj().T
         keep_distance = quantum_state.truncation_distance(
             state, projector @ state.coeff)
         best_random = _best_random_distance(state.coeff, keep,
@@ -119,8 +119,7 @@ def _check_truncation(rows, params):
 def _gaussian_chain(n_sites, mass, cut):
     """The chain's potential, its exact ground energy, and the exact
     entropy of its left `cut` sites."""
-    spec = harmonic_chain.ChainSpec(n_sites=n_sites, mass=mass)
-    potential = harmonic_chain.build_potential(spec)
+    potential = harmonic_chain.build_potential(n_sites, mass)
     gs = harmonic_chain.ground_state_covariance(potential)
     entropy = harmonic_chain.block_entropy(gs, range(cut))
     return potential, harmonic_chain.ground_energy(gs), entropy
@@ -174,16 +173,15 @@ def _check_dmrg(rows, params):
 
 
 def _run_modes(params, rng):
-    mode = rindler.AngularMode(ell=params["ell"], mass=params["mass"])
     n = params["samples"]
     x_max = params["x_max"]
     grid = np.linspace(x_max / n, x_max, n)
-    values = rindler.angular_wave(mode, grid)
+    values = rindler.angular_wave(params["ell"], grid, params["mass"])
     return [{"x": float(x), "wave": float(k)} for x, k in zip(grid, values)]
 
 
 def _check_modes(rows, params):
-    x_star = rindler.AngularMode(ell=params["ell"], mass=params["mass"]).turning_point
+    x_star = params["ell"] / params["mass"]  # the turning point
     below = np.array([r["wave"] for r in rows if r["x"] < x_star])
     above = np.array([r["wave"] for r in rows if r["x"] > x_star])
     checks = {"decays_above_turning_point": rindler.sign_changes(above) == 0}

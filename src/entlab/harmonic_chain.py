@@ -18,7 +18,6 @@ from . import numerics
 from .quantum_state import BipartiteState, bose_entropy
 
 __all__ = [
-    "ChainSpec",
     "GaussianGroundState",
     "build_potential",
     "ground_state_covariance",
@@ -32,23 +31,6 @@ __all__ = [
 
 _PURE_NU_TOL = 1e-12
 DENSE_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Chain of n_sites oscillators with the given mass.  The field is
-    clamped to zero beyond both ends, which keeps the potential positive
-    definite even at mass 0.
-    """
-
-    n_sites: int
-    mass: float = 0.0
-
-    def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
-        if self.mass < 0.0:
-            raise ValueError("mass must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -68,16 +50,20 @@ class GaussianGroundState:
         return self.X.shape[0]
 
 
-def build_potential(spec: ChainSpec) -> np.ndarray:
-    """Tridiagonal coupling matrix of the discretized chain.
-
-    Diagonal 2 + mass^2, off-diagonal -1.
+def build_potential(n_sites: int, mass: float) -> np.ndarray:
+    """Tridiagonal coupling matrix of a chain of n_sites oscillators:
+    diagonal 2 + mass^2, off-diagonal -1.  The field is clamped to zero
+    beyond both ends, which keeps the potential positive definite even at
+    mass 0.
     """
-    n, m2 = spec.n_sites, spec.mass ** 2
-    v = np.zeros((n, n))
-    np.fill_diagonal(v, 2.0 + m2)
-    if n > 1:
-        off = np.arange(n - 1)
+    if not n_sites >= 1:
+        raise ValueError("n_sites must be >= 1")
+    if not mass >= 0.0:  # written so that NaN fails
+        raise ValueError("mass must be nonnegative")
+    v = np.zeros((n_sites, n_sites))
+    np.fill_diagonal(v, 2.0 + mass ** 2)
+    if n_sites > 1:
+        off = np.arange(n_sites - 1)
         v[off, off + 1] = -1.0
         v[off + 1, off] = -1.0
     return v

@@ -16,7 +16,6 @@ from . import numerics
 __all__ = [
     "BipartiteState",
     "DensityMatrix",
-    "SchmidtDecomposition",
     "reduced_density_right",
     "reduced_density_left",
     "entropy_from_probs",
@@ -100,16 +99,6 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Nonnegative descending coefficients with orthonormal left/right
-    vector families; sum coefficients^2 == 1."""
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-
 def reduced_density_right(state: BipartiteState) -> DensityMatrix:
     """Trace out the left part: rho_R = psi^dagger psi / Tr."""
     psi = state.coeff
@@ -145,20 +134,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return entropy_from_probs(rho.eigenvalues)
 
 
-def schmidt(state: BipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition; coefficients are the singular values of the
-    coefficient matrix.
+def schmidt(state: BipartiteState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition coeff = u diag(s) v^dagger as numerics.svd's
+    (u, s, v): the coefficients s are nonnegative and descending with
+    sum s^2 == 1, and the columns of u and v are orthonormal.
 
     Degenerate coefficients leave the vector families non-unique (any basis
     of the degenerate subspace works); only the spectrum is contract-bearing.
     """
-    u, s, v = numerics.svd(state.coeff)
-    return SchmidtDecomposition(coefficients=s, left_vectors=u, right_vectors=v)
-
-
-def _check_same_shape(a, b) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return numerics.svd(state.coeff)
 
 
 def truncate(state: BipartiteState, m: int) -> tuple[BipartiteState, float]:
@@ -186,7 +170,8 @@ def truncation_distance(original, reduced) -> float:
     """
     a = original.coeff if isinstance(original, BipartiteState) else np.asarray(original)
     b = reduced.coeff if isinstance(reduced, BipartiteState) else np.asarray(reduced)
-    _check_same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(b - a) ** 2)
 
 

@@ -17,7 +17,6 @@ from . import numerics
 from .quantum_state import bose_entropy
 
 __all__ = [
-    "AngularMode",
     "AngularSpectrum",
     "angular_wave",
     "sign_changes",
@@ -35,25 +34,6 @@ _ELL_MAX = 400.0
 
 
 @dataclass(frozen=True)
-class AngularMode:
-    """Angular frequency ell of a massive wave; the turning point sits at
-    x = ell / mass."""
-
-    ell: float
-    mass: float = 1.0
-
-    def __post_init__(self):
-        if self.ell < 0.0:
-            raise ValueError("ell must be nonnegative")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-
-    @property
-    def turning_point(self) -> float:
-        return self.ell / self.mass
-
-
-@dataclass(frozen=True)
 class AngularSpectrum:
     """Discrete angular frequencies selected by the boundary condition
     K_{i ell}(mass * epsilon) = 0 at the regulator distance epsilon."""
@@ -62,7 +42,7 @@ class AngularSpectrum:
     ell_values: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:  # written so that NaN fails
             raise ValueError("epsilon must be positive")
         ells = np.asarray(self.ell_values, dtype=float)
         if np.any(np.diff(ells) <= 0.0):
@@ -74,11 +54,14 @@ class AngularSpectrum:
         return self.ell_values.size
 
 
-def angular_wave(mode: AngularMode, x) -> float | np.ndarray:
-    """Real angular wave K_{i ell}(mass * x); oscillatory below the turning
-    point, exponentially decaying above it.  x must be positive (the
-    wavelength vanishes at the origin)."""
-    return numerics.bessel_K_imag(mode.ell, mode.mass * np.asarray(x, dtype=float))
+def angular_wave(ell: float, x, mass: float) -> float | np.ndarray:
+    """Real angular wave K_{i ell}(mass * x) of frequency ell >= 0;
+    oscillatory below the turning point x* = ell / mass, exponentially
+    decaying above it.  x must be positive (the wavelength vanishes at the
+    origin)."""
+    if not mass > 0.0:  # written so that NaN fails
+        raise ValueError("mass must be positive")
+    return numerics.bessel_K_imag(ell, mass * np.asarray(x, dtype=float))
 
 
 def sign_changes(values: np.ndarray) -> int:
@@ -109,9 +92,9 @@ def discrete_spectrum(
     change that is not a root.  An empty spectrum (no roots in range) is
     returned with a warning.
     """
-    if mass <= 0.0:
+    if not mass > 0.0:  # written so that NaN fails, as is every check below
         raise ValueError("mass must be positive")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < ell_max <= _ELL_MAX:
         raise ValueError(f"ell_max must be in (0, {_ELL_MAX:g}]: K_{{i ell}} "

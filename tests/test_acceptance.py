@@ -53,10 +53,10 @@ def test_c02_truncation_optimality():
     optimal = True
     for _ in range(50):
         state = qs.random_state(6, 6, rng)
-        dec = qs.schmidt(state)
-        keep = dec.left_vectors[:, :3] @ dec.left_vectors[:, :3].conj().T
+        u, s, _ = qs.schmidt(state)
+        keep = u[:, :3] @ u[:, :3].conj().T
         distance = qs.truncation_distance(state, keep @ state.coeff)
-        tail = float((dec.coefficients[3:] ** 2).sum())
+        tail = float((s[3:] ** 2).sum())
         worst_tail_gap = max(worst_tail_gap, abs(distance - tail))
         for _ in range(200):
             g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -89,7 +89,7 @@ def test_c03_entropy_growth():
 
 def test_c04_gaussian_vs_fock_oracle():
     start = time.perf_counter()
-    potential = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
+    potential = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(potential)
     s_gauss = hc.block_entropy(gs, [0])
     entropies = {}
@@ -106,7 +106,7 @@ def test_c04_gaussian_vs_fock_oracle():
 
 def test_c05_thermal_spectrum_structure():
     start = time.perf_counter()
-    potential = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
+    potential = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(potential)
     predicted = hc.entanglement_spectrum(gs, [0], n_levels=10)
     state, _ = hc.fock_ground_state(potential, d=20, cut=1)
@@ -126,7 +126,7 @@ def test_c06_dmrg_vs_oracle():
         runs[m] = dmrg.run(config)
     last = runs[16][-1]
     assert last.chain_length == 20
-    potential = hc.build_potential(hc.ChainSpec(n_sites=20, mass=1.0))
+    potential = hc.build_potential(20, 1.0)
     oracle_energy = 0.5 * float(np.sqrt(np.linalg.eigvalsh(potential)).sum())
     oracle_entropy = hc.block_entropy(hc.ground_state_covariance(potential), range(10))
     energy_rel = abs(last.ground_energy / 20 - oracle_energy / 20) / (oracle_energy / 20)

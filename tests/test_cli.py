@@ -347,10 +347,12 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     # not "x must be positive" from the Bessel function
     (b"experiment = spectrum\nmass = 0\n", "mass must be positive"),
     (b"experiment = geom-entropy\nmass = -1\n", "mass must be positive"),
+    (b"experiment = modes\nmass = 0\n", "mass must be positive"),
 ], ids=["seed", "seed-negative", "utf8", "dmrg-mass-nan", "gs-tolerance-nan",
         "dmrg-mass-negative", "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
         "masses-duplicate", "epsilons-duplicate", "keep-not-below-dim",
-        "oracle-one-site", "spectrum-mass-zero", "geom-entropy-mass-negative"])
+        "oracle-one-site", "spectrum-mass-zero", "geom-entropy-mass-negative",
+        "modes-mass-zero"])
 def test_bad_input_is_usage_error_before_any_work(tmp_path, capsys, config, named):
     cfg = tmp_path / "exp.cfg"
     cfg.write_bytes(config)

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def oracle(length, mass):
-    v = hc.build_potential(hc.ChainSpec(n_sites=length, mass=mass))
+    v = hc.build_potential(length, mass)
     energy = 0.5 * np.sqrt(np.linalg.eigvalsh(v)).sum()
     gs = hc.ground_state_covariance(v)
     entropy = hc.block_entropy(gs, range(length // 2))
@@ -43,7 +43,7 @@ def test_two_site_block_matches_fock_oracle():
     block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
     assert block.length == 2 and block.basis_size == 16
     block_ground = numerics.sym_eig(block.hamiltonian)[0][0]
-    v = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
+    v = hc.build_potential(2, 1.0)
     _, fock_ground = hc.fock_ground_state(v, d=4)
     assert abs(block_ground - fock_ground) <= 1e-10
 
@@ -64,7 +64,7 @@ def test_superblock_matches_two_site_fock_oracle():
     superblock = dmrg.Superblock(*hc.oscillator_ops(config.site_frequency, 12))
     energy, _ = numerics.smallest_eigenpair(superblock.matvec, superblock.dim,
                                             tol=1e-11)
-    v = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
+    v = hc.build_potential(2, 1.0)
     _, fock_energy = hc.fock_ground_state(v, d=12)
     assert abs(energy - fock_energy) <= 1e-6
 
@@ -249,7 +249,7 @@ def test_truncation_weight_matches_quantum_state_truncate():
 
 def test_variational_bound_and_improvement_with_kept_states():
     # chain of 4 at local cutoff 4: exact dense reference has dim 256
-    v = hc.build_potential(hc.ChainSpec(n_sites=4, mass=1.0))
+    v = hc.build_potential(4, 1.0)
     _, dense_energy = hc.fock_ground_state(v, d=4)
     energies = {}
     for m in (2, 3, 8):
@@ -269,7 +269,7 @@ def test_run_with_target_equal_to_initial_length_is_exact():
     config = dmrg.DmrgConfig(local_dim=8, kept_states=16, mass=1.0, target_length=2)
     iterates = dmrg.run(config)
     assert len(iterates) == 1
-    v = hc.build_potential(hc.ChainSpec(n_sites=2, mass=1.0))
+    v = hc.build_potential(2, 1.0)
     _, fock_energy = hc.fock_ground_state(v, d=8)
     assert abs(iterates[0].ground_energy - fock_energy) <= 1e-9
 
@@ -346,7 +346,7 @@ def test_config_validation():
         dmrg.DmrgConfig(kept_states=0)
     with pytest.raises(ValueError):
         dmrg.DmrgConfig(target_length=7)
-    # rejected before the run, not by the oracle's ChainSpec or by three
+    # rejected before the run, not by the oracle's build_potential or by three
     # Lanczos attempts after it
     for tolerance in (0.0, -1e-10, float("nan")):
         with pytest.raises(ValueError, match="gs_tolerance"):

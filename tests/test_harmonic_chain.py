@@ -5,25 +5,31 @@ from entlab import harmonic_chain as hc
 from entlab import quantum_state as qs
 
 
-def chain(n, mass):
-    return hc.build_potential(hc.ChainSpec(n_sites=n, mass=mass))
-
-
 # --- potential -----------------------------------------------------------------
 
 def test_single_site_fixed_ends():
-    assert np.allclose(chain(1, 1.0), [[3.0]])
+    assert np.allclose(hc.build_potential(1, 1.0), [[3.0]])
 
 
 def test_three_site_massless_spectrum():
-    vals = np.linalg.eigvalsh(chain(3, 0.0))
+    vals = np.linalg.eigvalsh(hc.build_potential(3, 0.0))
     assert np.allclose(vals, [2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
 
 
 def test_uncoupled_limit_is_diagonal():
-    v = chain(3, 1.0)
+    v = hc.build_potential(3, 1.0)
     v[np.abs(np.arange(3)[:, None] - np.arange(3)) == 1] = 0.0
     assert np.allclose(v, np.diag(np.diag(v)))
+
+
+@pytest.mark.parametrize("n_sites, mass, named", [
+    (0, 1.0, "n_sites must be >= 1"),
+    (2, -1.0, "mass must be nonnegative"),
+    (2, np.nan, "mass must be nonnegative"),
+], ids=["no-sites", "negative-mass", "nan-mass"])
+def test_potential_rejects_a_bad_chain(n_sites, mass, named):
+    with pytest.raises(ValueError, match=named):
+        hc.build_potential(n_sites, mass)
 
 
 # --- covariance -----------------------------------------------------------------
@@ -42,7 +48,7 @@ def test_single_site_analytic_square_root():
 
 
 def test_uncertainty_product_identity():
-    gs = hc.ground_state_covariance(chain(4, 1.0))
+    gs = hc.ground_state_covariance(hc.build_potential(4, 1.0))
     assert np.abs((2 * gs.X) @ (2 * gs.P) - np.eye(4)).max() <= 1e-10
 
 
@@ -64,7 +70,7 @@ def test_ground_state_rejects_nonfinite_covariance(bad):
 @pytest.mark.parametrize("mass", [0.01, 0.1, 1.0])
 def test_ground_energy_is_trace_of_momentum_covariance(n, mass, decompositions):
     # virial theorem: E0 = Tr V^{1/2} / 2 = Tr P, read without a decomposition
-    v = chain(n, mass)
+    v = hc.build_potential(n, mass)
     exact = 0.5 * np.sqrt(np.linalg.eigvalsh(v)).sum()
     gs = hc.ground_state_covariance(v)
     del decompositions[:]
@@ -75,21 +81,21 @@ def test_ground_energy_is_trace_of_momentum_covariance(n, mass, decompositions):
 # --- block entropy ----------------------------------------------------------------
 
 def test_uncoupled_chain_has_zero_block_entropy():
-    v = np.diag(np.diag(chain(4, 1.0)))  # couplings zeroed
+    v = np.diag(np.diag(hc.build_potential(4, 1.0)))  # couplings zeroed
     gs = hc.ground_state_covariance(v)
     for block in (range(1), range(2), range(3)):
         assert hc.block_entropy(gs, block) <= 1e-10
 
 
 def test_full_chain_region_is_pure():
-    gs = hc.ground_state_covariance(chain(4, 1.0))
+    gs = hc.ground_state_covariance(hc.build_potential(4, 1.0))
     nu = hc.symplectic_eigenvalues(gs, range(4))
     assert np.abs(nu - 0.5).max() <= 1e-10
     assert hc.block_entropy(gs, range(4)) <= 1e-10
 
 
 def test_empty_region_rejected():
-    gs = hc.ground_state_covariance(chain(4, 1.0))
+    gs = hc.ground_state_covariance(hc.build_potential(4, 1.0))
     with pytest.raises(ValueError, match="nonempty"):
         hc.block_entropy(gs, [])
     with pytest.raises(ValueError):
@@ -97,13 +103,13 @@ def test_empty_region_rejected():
 
 
 def test_symplectic_eigenvalues_at_least_half():
-    gs = hc.ground_state_covariance(chain(10, 0.3))
+    gs = hc.ground_state_covariance(hc.build_potential(10, 0.3))
     for size in (1, 3, 5, 9):
         assert hc.symplectic_eigenvalues(gs, range(size)).min() >= 0.5 - 1e-10
 
 
 def test_region_complement_symmetry():
-    gs = hc.ground_state_covariance(chain(8, 0.2))
+    gs = hc.ground_state_covariance(hc.build_potential(8, 0.2))
     for size in range(1, 8):
         s_block = hc.block_entropy(gs, range(size))
         s_rest = hc.block_entropy(gs, range(size, 8))
@@ -111,10 +117,10 @@ def test_region_complement_symmetry():
 
 
 def test_entropy_trend_near_critical_grows_massive_saturates():
-    near_critical = hc.ground_state_covariance(chain(64, 0.01))
+    near_critical = hc.ground_state_covariance(hc.build_potential(64, 0.01))
     s_nc = [hc.block_entropy(near_critical, range(size)) for size in range(2, 33, 2)]
     assert all(b > a for a, b in zip(s_nc, s_nc[1:]))
-    massive = hc.ground_state_covariance(chain(64, 1.0))
+    massive = hc.ground_state_covariance(hc.build_potential(64, 1.0))
     s_m = [hc.block_entropy(massive, range(size)) for size in range(2, 33, 2)]
     assert all(b >= a - 1e-12 for a, b in zip(s_m, s_m[1:]))
     assert abs(s_m[-1] - s_m[7]) <= 1e-6  # flat well before the half chain
@@ -123,21 +129,21 @@ def test_entropy_trend_near_critical_grows_massive_saturates():
 # --- Fock-basis brute force ---------------------------------------------------------
 
 def test_uncoupled_fock_ground_state_is_product():
-    v = np.diag(np.diag(chain(2, 1.0)))
+    v = np.diag(np.diag(hc.build_potential(2, 1.0)))
     state, energy = hc.fock_ground_state(v, d=8)
     assert abs(energy - np.sqrt(3.0)) <= 1e-12  # two sites at omega = sqrt(3)
     assert qs.von_neumann_entropy(qs.reduced_density_left(state)) <= 1e-12
 
 
 def test_fock_energy_matches_normal_modes():
-    v = chain(2, 1.0)
+    v = hc.build_potential(2, 1.0)
     exact = 0.5 * np.sqrt(np.linalg.eigvalsh(v)).sum()
     _, energy = hc.fock_ground_state(v, d=20)
     assert abs(energy - exact) <= 1e-6
 
 
 def test_fock_energy_decreases_with_cutoff():
-    v = chain(2, 0.4)
+    v = hc.build_potential(2, 0.4)
     energies = [hc.fock_ground_state(v, d)[1] for d in (3, 4, 6, 10, 16)]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
     exact = 0.5 * np.sqrt(np.linalg.eigvalsh(v)).sum()
@@ -145,7 +151,7 @@ def test_fock_energy_decreases_with_cutoff():
 
 
 def test_fock_entropy_matches_covariance_oracle():
-    v = chain(2, 1.0)
+    v = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(v)
     s_cov = hc.block_entropy(gs, [0])
     s_fock = {}
@@ -159,7 +165,7 @@ def test_fock_entropy_matches_covariance_oracle():
 @pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
 def test_fock_ground_state_is_the_dense_ground_state(n, d):
     # dims 36 and 64: above the eigensolver's dense limit of 16
-    v = chain(n, 0.7)
+    v = hc.build_potential(n, 0.7)
     ops = [hc.oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
 
     def on_sites(factors):  # kron over the sites, the identity where absent
@@ -180,15 +186,15 @@ def test_fock_ground_state_is_the_dense_ground_state(n, d):
 
 def test_fock_rejects_oversized_basis_and_bad_cutoff():
     with pytest.raises(ValueError, match="exceeds limit"):
-        hc.fock_ground_state(chain(4, 1.0), d=16)
+        hc.fock_ground_state(hc.build_potential(4, 1.0), d=16)
     with pytest.raises(ValueError):
-        hc.fock_ground_state(chain(2, 1.0), d=1)
+        hc.fock_ground_state(hc.build_potential(2, 1.0), d=1)
 
 
 # --- entanglement spectrum -----------------------------------------------------------
 
 def test_spectrum_of_uncoupled_chain_is_trivial():
-    v = np.diag(np.diag(chain(3, 1.0)))
+    v = np.diag(np.diag(hc.build_potential(3, 1.0)))
     gs = hc.ground_state_covariance(v)
     levels = hc.entanglement_spectrum(gs, [0], n_levels=4)
     assert np.allclose(levels, [1.0])
@@ -205,9 +211,9 @@ def test_spectrum_of_degenerate_modes_counts_each_level_once():
     # two identical uncoupled 2-site chains, one site of each in the block:
     # two modes at the same eps, so level n is (n + 1)-fold degenerate
     v = np.zeros((4, 4))
-    v[:2, :2] = v[2:, 2:] = chain(2, 1.0)
+    v[:2, :2] = v[2:, 2:] = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(v)
-    one = hc.ground_state_covariance(chain(2, 1.0))
+    one = hc.ground_state_covariance(hc.build_potential(2, 1.0))
     nu = np.sqrt(one.X[0, 0] * one.P[0, 0])
     q = (nu - 0.5) / (nu + 0.5)  # e^{-eps}
     levels = hc.entanglement_spectrum(gs, [0, 2], n_levels=10)
@@ -216,7 +222,7 @@ def test_spectrum_of_degenerate_modes_counts_each_level_once():
 
 
 def test_spectrum_matches_fock_reduced_density():
-    v = chain(2, 1.0)
+    v = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(v)
     predicted = hc.entanglement_spectrum(gs, [0], n_levels=10)
     state, _ = hc.fock_ground_state(v, d=20, cut=1)
@@ -226,7 +232,7 @@ def test_spectrum_matches_fock_reduced_density():
 
 
 def test_spectrum_is_normalized_over_all_levels():
-    gs = hc.ground_state_covariance(chain(4, 0.5))
+    gs = hc.ground_state_covariance(hc.build_potential(4, 0.5))
     levels = hc.entanglement_spectrum(gs, range(2), n_levels=4000)
     assert levels[0] < 1.0
     assert abs(levels.sum() - 1.0) <= 1e-6

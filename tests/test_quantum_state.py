@@ -174,23 +174,21 @@ def test_symmetry_theorem(dims):
 # --- Schmidt decomposition -------------------------------------------------------
 
 def test_schmidt_of_product_and_bell():
-    dec = qs.schmidt(basis_state(3, 4))
-    assert abs(dec.coefficients[0] - 1.0) <= 1e-12
-    assert np.abs(dec.coefficients[1:]).max() <= 1e-12
-    dec = qs.schmidt(bell_state())
-    assert np.abs(dec.coefficients - 1 / np.sqrt(2.0)).max() <= 1e-12
+    _, s, _ = qs.schmidt(basis_state(3, 4))
+    assert abs(s[0] - 1.0) <= 1e-12
+    assert np.abs(s[1:]).max() <= 1e-12
+    _, s, _ = qs.schmidt(bell_state())
+    assert np.abs(s - 1 / np.sqrt(2.0)).max() <= 1e-12
 
 
 def test_schmidt_reconstruction_and_spectrum():
     state = qs.random_state(4, 6, np.random.default_rng(3))
-    dec = qs.schmidt(state)
-    assert abs((dec.coefficients ** 2).sum() - 1.0) <= 1e-12
-    rebuilt = sum(
-        c * np.outer(dec.left_vectors[:, k], dec.right_vectors[:, k].conj())
-        for k, c in enumerate(dec.coefficients))
+    u, s, v = qs.schmidt(state)
+    assert abs((s ** 2).sum() - 1.0) <= 1e-12
+    rebuilt = sum(c * np.outer(u[:, k], v[:, k].conj()) for k, c in enumerate(s))
     assert np.abs(rebuilt - state.coeff).max() <= 1e-10
     rho_eigs = np.linalg.eigvalsh(qs.reduced_density_left(state).entries)[::-1]
-    assert np.abs(dec.coefficients ** 2 - rho_eigs[: dec.coefficients.size]).max() <= 1e-10
+    assert np.abs(s ** 2 - rho_eigs[: s.size]).max() <= 1e-10
 
 
 # --- truncation ------------------------------------------------------------------
@@ -216,7 +214,7 @@ def test_truncate_full_rank_is_identity():
 def test_truncate_bell_to_product():
     reduced, weight = qs.truncate(bell_state(), 1)
     assert abs(weight - 0.5) <= 1e-12
-    assert abs(qs.schmidt(reduced).coefficients[0] - 1.0) <= 1e-12
+    assert abs(qs.schmidt(reduced)[1][0] - 1.0) <= 1e-12
 
 
 def test_truncate_out_of_range():
@@ -231,23 +229,25 @@ def test_truncation_distance_basics():
     b = basis_state(2, 2, 1, 1)
     assert qs.truncation_distance(a, a) == 0.0
     assert abs(qs.truncation_distance(a, b) - 2.0) <= 1e-12
+    with pytest.raises(ValueError, match="shape mismatch"):
+        qs.truncation_distance(a, basis_state(2, 3))
 
 
 def test_projection_distance_equals_schmidt_tail():
     state = qs.random_state(6, 6, np.random.default_rng(9))
-    dec = qs.schmidt(state)
+    u, s, _ = qs.schmidt(state)
     m = 3
-    projector = dec.left_vectors[:, :m] @ dec.left_vectors[:, :m].conj().T
+    projector = u[:, :m] @ u[:, :m].conj().T
     distance = qs.truncation_distance(state, projector @ state.coeff)
-    tail = (dec.coefficients[m:] ** 2).sum()
+    tail = (s[m:] ** 2).sum()
     assert abs(distance - tail) <= 1e-10
 
 
 def test_kept_projection_beats_random_projections():
     rng = np.random.default_rng(10)
     state = qs.random_state(6, 6, rng)
-    dec = qs.schmidt(state)
-    keep = dec.left_vectors[:, :3] @ dec.left_vectors[:, :3].conj().T
+    u, _, _ = qs.schmidt(state)
+    keep = u[:, :3] @ u[:, :3].conj().T
     best = qs.truncation_distance(state, keep @ state.coeff)
     for _ in range(200):
         g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -264,9 +264,9 @@ def _truncation_one_projection_at_a_time(params, rng):
     rows = []
     for index in range(params["states"]):
         state = qs.random_state(dim, dim, rng)
-        dec = qs.schmidt(state)
-        tail = float((dec.coefficients[keep:] ** 2).sum())
-        projector = dec.left_vectors[:, :keep] @ dec.left_vectors[:, :keep].conj().T
+        u, s, _ = qs.schmidt(state)
+        tail = float((s[keep:] ** 2).sum())
+        projector = u[:, :keep] @ u[:, :keep].conj().T
         keep_distance = qs.truncation_distance(state, projector @ state.coeff)
         best = np.inf
         for _ in range(params["random_projections"]):

@@ -15,33 +15,32 @@ from entlab.quantum_state import bose_entropy
 # --- angular waves -----------------------------------------------------------
 
 def test_angular_wave_rejects_origin():
-    mode = rindler.AngularMode(ell=2.0, mass=1.0)
     with pytest.raises(ValueError):
-        rindler.angular_wave(mode, 0.0)
+        rindler.angular_wave(2.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        rindler.angular_wave(mode, -1.0)
+        rindler.angular_wave(2.0, -1.0, 1.0)
 
 
 def test_angular_wave_scales_argument_by_mass():
-    mode = rindler.AngularMode(ell=3.0, mass=2.0)
-    got = rindler.angular_wave(mode, 1.7)
+    got = rindler.angular_wave(3.0, 1.7, 2.0)
     assert abs(got - numerics.bessel_K_imag(3.0, 3.4)) <= 1e-15
 
 
 def test_zero_frequency_wave_decays_without_sign_change():
-    mode = rindler.AngularMode(ell=0.0, mass=1.0)
-    vals = np.asarray(rindler.angular_wave(mode, np.linspace(0.05, 20.0, 300)))
+    vals = np.asarray(rindler.angular_wave(0.0, np.linspace(0.05, 20.0, 300), 1.0))
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
 
 
-def test_mode_metadata():
-    mode = rindler.AngularMode(ell=4.0, mass=2.0)
-    assert mode.turning_point == 2.0
-    with pytest.raises(ValueError):
-        rindler.AngularMode(ell=-1.0)
-    with pytest.raises(ValueError):
-        rindler.AngularMode(ell=1.0, mass=0.0)
+@pytest.mark.parametrize("mass", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_angular_wave_rejects_a_mass_that_is_not_positive(mass):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        rindler.angular_wave(1.0, 1.0, mass)
+
+
+def test_angular_wave_rejects_a_negative_frequency():
+    with pytest.raises(ValueError, match="ell must be nonnegative"):
+        rindler.angular_wave(-1.0, 1.0, 1.0)
 
 
 # --- turning point census -------------------------------------------------------
@@ -49,44 +48,35 @@ def test_mode_metadata():
 # Sign changes of the wave on 1000 samples below the turning point x* = ell/m
 # and on 1000 samples from x* to x* + 22/m above it.
 
-def below_turning_point(mode):
-    x_star = mode.turning_point
+def below_turning_point(ell, mass):
+    x_star = ell / mass
     return rindler.sign_changes(
-        rindler.angular_wave(mode, np.linspace(x_star / 1000, x_star, 1000)))
+        rindler.angular_wave(ell, np.linspace(x_star / 1000, x_star, 1000), mass))
 
 
-def above_turning_point(mode):
-    x_star = mode.turning_point
-    grid = np.linspace(x_star, x_star + 22.0 / mode.mass, 1001)[1:]
-    return rindler.sign_changes(rindler.angular_wave(mode, grid))
+def above_turning_point(ell, mass):
+    x_star = ell / mass
+    grid = np.linspace(x_star, x_star + 22.0 / mass, 1001)[1:]
+    return rindler.sign_changes(rindler.angular_wave(ell, grid, mass))
 
 
 def test_census_ell_8():
-    mode = rindler.AngularMode(ell=8.0, mass=1.0)
-    assert mode.turning_point == 8.0
-    assert below_turning_point(mode) >= 1
-    assert above_turning_point(mode) == 0
+    assert below_turning_point(8.0, 1.0) >= 1
+    assert above_turning_point(8.0, 1.0) == 0
 
 
 def test_census_zero_frequency_has_no_oscillatory_region():
-    mode = rindler.AngularMode(ell=0.0, mass=1.0)
-    assert mode.turning_point == 0.0
-    assert above_turning_point(mode) == 0
+    assert above_turning_point(0.0, 1.0) == 0
 
 
 def test_census_counts_grow_with_frequency():
-    low = below_turning_point(rindler.AngularMode(ell=8.0, mass=1.0))
-    high = below_turning_point(rindler.AngularMode(ell=16.0, mass=1.0))
-    assert high > low
+    assert below_turning_point(16.0, 1.0) > below_turning_point(8.0, 1.0)
 
 
 def test_census_turning_point_scales_with_mass():
-    heavy = rindler.AngularMode(ell=4.0, mass=2.0)
-    assert heavy.turning_point == 2.0
     # K_{i ell}(m x): the wave at mass 2 is the mass-1 wave at half the x
-    light = rindler.AngularMode(ell=4.0, mass=1.0)
-    assert below_turning_point(heavy) == below_turning_point(light) >= 1
-    assert above_turning_point(heavy) == 0
+    assert below_turning_point(4.0, 2.0) == below_turning_point(4.0, 1.0) >= 1
+    assert above_turning_point(4.0, 2.0) == 0
 
 
 def test_sign_changes_skip_exact_zeros():
@@ -217,6 +207,21 @@ def test_spectrum_validation():
         rindler.discrete_spectrum(1.0, 0.1, 0.0)
     with pytest.raises(ValueError, match="underflows"):
         rindler.discrete_spectrum(1.0, 0.1, 500.0)
+
+
+@pytest.mark.parametrize("mass, epsilon, named", [
+    (np.nan, 0.1, "mass must be positive"),
+    (1.0, np.nan, "epsilon must be positive"),
+], ids=["mass", "epsilon"])
+def test_spectrum_rejects_nan(mass, epsilon, named):
+    # not "x contains non-finite entries" from the Bessel function
+    with pytest.raises(ValueError, match=named):
+        rindler.discrete_spectrum(mass, epsilon, 20.0)
+
+
+def test_spectrum_record_rejects_nan_epsilon():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        rindler.AngularSpectrum(epsilon=np.nan, ell_values=[1.0])
 
 
 # --- thermal weights ------------------------------------------------------------
