@@ -5,6 +5,11 @@ A run starts from the empty block.  Each step adjoins one site at the
 block's origin-facing edge, solves the enlarged block and its mirror image as
 a superblock, and truncates the block to the dominant eigenstates of its
 reduced density matrix.  No free sites are inserted between block and mirror.
+
+H = sum pi^2/2 + phi^T V phi/2 is even under phi -> -phi, so every block
+basis state carries a Z2 parity, the block Hamiltonian conserves it and the
+edge field flips it (White, PRB 48, 10345, 1993).  The solve and the
+truncation work sector by sector.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .harmonic_chain import oscillator_ops
-from .quantum_state import BipartiteState, reduced_density_left, von_neumann_entropy
+from .quantum_state import BipartiteState, entropy_from_probs, reduced_density_left
 
 __all__ = [
     "DmrgConfig",
@@ -39,6 +44,11 @@ class DmrgConfig:
     gs_tolerance: float = 1e-10
 
     def __post_init__(self):
+        for name in ("local_dim", "kept_states", "target_length"):
+            value = getattr(self, name)
+            # a bool is an int to Python
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.local_dim < 2:
             raise ValueError("local_dim must be >= 2")
         if self.local_dim ** 2 > _SUPERBLOCK_LIMIT:
@@ -69,13 +79,16 @@ class DmrgBlock:
     leading tensor factor of the basis, so the block's edge field is
     kron(edge_phi, I).  That factor is the bare site in an enlarged block,
     and the whole basis in a truncated or the empty one.  All matrices are
-    real.  ground_state, in a truncated block, is the superblock ground state
-    it was cut from, as a (block x mirror) matrix in the kept basis.
+    real.  parity labels each basis state +1 or -1 under phi -> -phi; a
+    truncated block lists its even states first.  ground_state, in a
+    truncated block, is the superblock ground state it was cut from, as a
+    (block x mirror) matrix in the kept basis.
     """
 
     length: int
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
+    parity: np.ndarray
     ground_state: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -130,40 +143,81 @@ class Superblock:
         out -= self._edge_term(m)
         return out.ravel()
 
-    def sector(self):
-        """The operator on the reflection-symmetric sector M = M^T, in
-        orthonormal packed coordinates: the functions (pack, unpack, apply).
+    def sector(self, parity: np.ndarray):
+        """The operator on the ground state's sector, in orthonormal packed
+        coordinates: the functions (pack, unpack, apply).
 
-        A packed vector holds M's diagonal, then sqrt(2) times its strict
-        upper triangle, so pack is an isometry onto length n(n+1)/2, unpack
-        returns an exactly symmetric M, and apply = pack . matvec . unpack is
-        self-adjoint.  On a symmetric M the matvec is X + X^T with
-        X = H M - (phi x I) M (phi x I)^T / 2: one n^3 product of the block
-        Hamiltonian instead of two.
+        parity labels the block basis +-1 and is the Kronecker product of
+        labels on edge_phi's factor and on the rest of the basis; the block
+        Hamiltonian conserves it and edge_phi flips it.  The ground state M
+        is then symmetric and pairs equal labels only, M = M_ee + M_oo.  A
+        packed vector holds, even sector first, each sector's diagonal and
+        then sqrt(2) times its strict upper triangle, so pack is an isometry
+        onto length n_e(n_e+1)/2 + n_o(n_o+1)/2, unpack returns an exactly
+        symmetric M, and apply = pack . matvec . unpack is self-adjoint.  In
+        sector s the matvec is X + X^T with X = H_s M_ss - Phi M_tt Phi^T / 2,
+        t the other sector and Phi the edge field from t to s: two (n/2)^3
+        products of the block Hamiltonian when the sectors are equal.
         """
         n = self.block_dim
-        row, col = np.triu_indices(n, 1)  # the strict upper triangle, row by row
-        diagonal = np.arange(n)
-        # flat index in M of each packed entry, and packed index of each entry of M
-        gather = np.concatenate([diagonal * (n + 1), row * n + col])
-        scatter = np.empty((n, n), dtype=np.intp)
-        scatter[diagonal, diagonal] = diagonal
-        scatter[row, col] = scatter[col, row] = np.arange(n, gather.size)
-        scatter = scatter.ravel()
-        scale = np.ones(gather.size)
-        scale[n:] = np.sqrt(2.0)
+        k = self.edge_phi.shape[0]
+        lead = parity[::n // k] * parity[0]  # labels on edge_phi's factor
+        rest = parity[:n // k]
+        if not np.array_equal(np.outer(lead, rest).ravel(), parity):
+            raise ValueError("parity is not a product of edge-factor and rest labels")
+        even, odd = lead > 0, lead < 0
+        phi_eo = self.edge_phi[np.ix_(even, odd)]
+        phi_oe = self.edge_phi[np.ix_(odd, even)]
+        # sector s holds the states (lead even, rest s), then (lead odd, rest -s):
+        # the edge field maps the second part of sector -s onto the first part
+        # of sector s, and the first part onto the second
+        grid = np.arange(n).reshape(k, -1)
+        index = [np.concatenate([grid[np.ix_(even, rest == s)].ravel(),
+                                 grid[np.ix_(odd, rest == -s)].ravel()])
+                 for s in (1, -1)]
+        heads = [even.sum() * (rest == -s).sum() for s in (1, -1)]
+        hams = [self.hamiltonian[np.ix_(i, i)] for i in index]
+        sizes = [i.size for i in index]
+
+        def edge(m: np.ndarray, head: int) -> np.ndarray:
+            """The edge field on the rows of m, which run over one sector
+            whose first part has head states; the rows of the result run
+            over the other sector."""
+            cols = m.shape[1]
+            return np.concatenate([
+                (phi_eo @ m[head:].reshape(phi_eo.shape[1], -1)).reshape(-1, cols),
+                (phi_oe @ m[:head].reshape(phi_oe.shape[1], -1)).reshape(-1, cols)])
+
+        triangles = [_triangle(size) for size in sizes]
+        split = sizes[0] * (sizes[0] + 1) // 2
+
+        def blocks(vec: np.ndarray) -> list[np.ndarray]:
+            return [(part / scale)[scatter].reshape(size, size)
+                    for part, (_, scatter, scale), size
+                    in zip(np.split(vec, [split]), triangles, sizes)]
+
+        def pack_blocks(ms: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate([m.ravel()[gather] * scale
+                                   for m, (gather, _, scale) in zip(ms, triangles)])
 
         def pack(m: np.ndarray) -> np.ndarray:
-            return m.ravel()[gather] * scale
+            return pack_blocks([m[np.ix_(i, i)] for i in index])
 
         def unpack(vec: np.ndarray) -> np.ndarray:
-            return (vec / scale)[scatter].reshape(n, n)
+            m = np.zeros((n, n))
+            for i, block in zip(index, blocks(vec)):
+                m[np.ix_(i, i)] = block
+            return m
 
         def apply(vec: np.ndarray) -> np.ndarray:
-            m = unpack(vec)
-            x = self.hamiltonian @ m
-            x -= 0.5 * self._edge_term(m)
-            return pack(x + x.T)
+            ms = blocks(vec)
+            out = []
+            for h, mine, other, head in zip(hams, ms, ms[::-1], heads):
+                x = h @ mine
+                # Phi M_tt Phi^T, transposed once: M_tt is symmetric
+                x -= 0.5 * edge(edge(other, head).T, head)
+                out.append(x + x.T)
+            return pack_blocks(out)
 
         return pack, unpack, apply
 
@@ -174,6 +228,22 @@ class Superblock:
         h += np.kron(np.eye(n), self.hamiltonian)
         h -= np.kron(edge, edge)
         return h
+
+
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packing of a symmetric n x n matrix: the flat index of its diagonal,
+    then of its strict upper triangle row by row; the packed index of each
+    entry, the lower triangle mirrored; and the scale, sqrt(2) off the
+    diagonal, that makes the packing an isometry."""
+    row, col = np.triu_indices(n, 1)
+    diagonal = np.arange(n)
+    gather = np.concatenate([diagonal * (n + 1), row * n + col])
+    scatter = np.empty((n, n), dtype=np.intp)
+    scatter[diagonal, diagonal] = diagonal
+    scatter[row, col] = scatter[col, row] = np.arange(n, gather.size)
+    scale = np.ones(gather.size)
+    scale[n:] = np.sqrt(2.0)
+    return gather, scatter.ravel(), scale
 
 
 def _edge_field(edge_phi: np.ndarray, n: int) -> np.ndarray:
@@ -195,7 +265,50 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
     ham = (np.kron(h1, np.eye(n))
            + np.kron(np.eye(d), block.hamiltonian)
            - np.kron(phi1, _edge_field(block.edge_phi, n)))
-    return DmrgBlock(length=block.length + 1, hamiltonian=ham, edge_phi=phi1)
+    parity = np.kron((-1) ** np.arange(d), block.parity)
+    return DmrgBlock(length=block.length + 1, hamiltonian=ham, edge_phi=phi1,
+                     parity=parity)
+
+
+def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
+    """The kept basis of a block from the superblock ground state M = M_ee +
+    M_oo: the dominant eigenvectors of rho_L = M M^T, which is block diagonal
+    too, so each sector is diagonalised alone and its weights scaled by
+    ||M_ss||^2.  A sector whose block of M is zero adds zero-weight states.
+
+    Returns (basis, its parity, all weights descending, number kept): the
+    basis columns are in the block basis, even states first.
+    """
+    weights, vectors, labels = [], [], []
+    for sign in (1, -1):
+        index = np.flatnonzero(parity == sign)
+        block = matrix[np.ix_(index, index)]
+        vec = np.zeros((matrix.shape[0], index.size))
+        if np.any(block):
+            # M is real, so rho and its eigenvectors are; weights come descending
+            rho = reduced_density_left(BipartiteState(block))
+            weights.append(rho.eigenvalues * np.vdot(block, block))
+            vec[index] = rho.eigenvectors
+        else:
+            weights.append(np.zeros(index.size))
+            vec[index] = np.eye(index.size)
+        vectors.append(vec)
+        labels.append(np.full(index.size, sign))
+    order = np.argsort(-np.concatenate(weights), kind="stable")
+    # a density matrix has no negative eigenvalue: those eigh returns are rounding
+    w = np.clip(np.concatenate(weights)[order], 0.0, None)
+
+    n = w.size
+    kept = min(kept_states, n)
+    # keep a degenerate multiplet intact when it straddles the cut (zero-weight
+    # tails do not count as a multiplet)
+    while (kept < n and w[kept] > _DEGENERACY_TOL
+           and w[kept - 1] - w[kept] <= _DEGENERACY_TOL):
+        kept += 1
+    chosen = order[:kept]
+    labels = np.concatenate(labels)
+    chosen = chosen[np.argsort(labels[chosen] < 0, kind="stable")]  # even first
+    return np.hstack(vectors)[:, chosen], labels[chosen], w, kept
 
 
 def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
@@ -204,44 +317,45 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     kept_states dominant density-matrix eigenstates.
 
     Returns the truncated block and the iterate record for the superblock
-    just solved (chain length 2 x enlarged block length).
+    just solved (chain length 2 x enlarged block length).  Raises
+    EigensolverError when the ground state misses the residual contract on
+    the full superblock.
     """
     enlarged = _enlarge(block, config)
     n = enlarged.basis_size
-    # the superblock is reflection symmetric and its ground state M = M^T:
-    # solve on that sector alone
-    pack, unpack, apply = Superblock(enlarged.hamiltonian, enlarged.edge_phi).sector()
+    superblock = Superblock(enlarged.hamiltonian, enlarged.edge_phi)
+    # the superblock is reflection symmetric and conserves parity: its ground
+    # state M = M^T pairs equal parities only, so solve on that sector alone
+    pack, unpack, apply = superblock.sector(enlarged.parity)
+    sizes = [np.count_nonzero(enlarged.parity == sign) for sign in (1, -1)]
     warm = None
     if block.ground_state is not None:
         # the new site in its local ground state, the rest as last solved
         warm = pack(np.pad(block.ground_state, (0, n - block.basis_size)))
         warm /= np.linalg.norm(warm)
     energy, psi = numerics.smallest_eigenpair(
-        apply, n * (n + 1) // 2, tol=config.gs_tolerance, v0=warm)
+        apply, sum(size * (size + 1) // 2 for size in sizes),
+        tol=config.gs_tolerance, v0=warm)
 
     matrix = unpack(psi)
-    # psi is real, so rho and its eigenvectors are; weights come descending
-    rho = reduced_density_left(BipartiteState(matrix))
-    w = rho.eigenvalues
+    residual = float(np.linalg.norm(superblock.matvec(matrix.ravel())
+                                    - energy * matrix.ravel()))
+    if not residual <= config.gs_tolerance:
+        raise numerics.EigensolverError(
+            f"full-superblock residual {residual:.3e} above tolerance "
+            f"{config.gs_tolerance:.3e}", 1)
 
-    kept = min(config.kept_states, n)
-    # keep a degenerate multiplet intact when it straddles the cut (zero-weight
-    # tails do not count as a multiplet)
-    while (kept < n and w[kept] > _DEGENERACY_TOL
-           and w[kept - 1] - w[kept] <= _DEGENERACY_TOL):
-        kept += 1
-    weight = float(max(0.0, 1.0 - w[:kept].sum()))
-    basis = rho.eigenvectors[:, :kept]
-
+    basis, parity, w, kept = _truncate(matrix, enlarged.parity, config.kept_states)
     kept_ham = basis.T @ enlarged.hamiltonian @ basis
     truncated = DmrgBlock(length=enlarged.length,
                           hamiltonian=0.5 * (kept_ham + kept_ham.T),
                           edge_phi=basis.T @ _edge_field(enlarged.edge_phi, n) @ basis,
+                          parity=parity,
                           ground_state=basis.T @ matrix @ basis)
     iterate = DmrgIterate(chain_length=2 * enlarged.length,
                           ground_energy=float(energy),
-                          half_chain_entropy=von_neumann_entropy(rho),
-                          truncation_weight=weight,
+                          half_chain_entropy=entropy_from_probs(w),
+                          truncation_weight=float(w[kept:].sum()),
                           kept=kept)
     return truncated, iterate
 
@@ -251,7 +365,7 @@ def run(config: DmrgConfig) -> list[DmrgIterate]:
     target_length, recording one iterate per step; each step adds two
     sites."""
     block = DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)),
-                      edge_phi=np.zeros((1, 1)))
+                      edge_phi=np.zeros((1, 1)), parity=np.ones(1, dtype=int))
     iterates: list[DmrgIterate] = []
     for _ in range(config.target_length // 2):
         block, iterate = dmrg_step(block, config)

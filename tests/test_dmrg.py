@@ -23,7 +23,8 @@ def oracle(length, mass):
 
 
 def empty_block():
-    return dmrg.DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)), edge_phi=np.zeros((1, 1)))
+    return dmrg.DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)), edge_phi=np.zeros((1, 1)),
+                          parity=np.ones(1, dtype=int))
 
 
 # --- block construction -----------------------------------------------------------
@@ -104,46 +105,63 @@ def test_superblock_matvec_after_a_truncating_step():
 
 def truncated_superblock():
     # the kept basis (m = 3) times a bare site: edge_phi (4 x 4) acts on the
-    # leading factor of the 12-state block
+    # leading factor of the 12-state block, whose parity splits it 6 + 6
     config = dmrg.DmrgConfig(local_dim=4, kept_states=3, mass=0.8, target_length=6)
     block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
     superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     assert superblock.block_dim == 12 and superblock.edge_phi.shape == (4, 4)
-    return superblock
+    assert np.count_nonzero(block.parity > 0) == 6
+    return superblock, block.parity
+
+
+def sector_matrix(parity, seed):
+    """A random symmetric matrix that pairs equal parities only."""
+    a = np.random.default_rng(seed).standard_normal((parity.size, parity.size))
+    return (a + a.T) * np.equal.outer(parity, parity)
 
 
 def test_sector_packing_is_an_isometry_of_symmetric_matrices():
-    pack, unpack, _ = truncated_superblock().sector()
-    a = np.random.default_rng(2).standard_normal((12, 12))
-    m = a + a.T
+    superblock, parity = truncated_superblock()
+    pack, unpack, _ = superblock.sector(parity)
+    m = sector_matrix(parity, 2)
     packed = pack(m)
-    assert packed.shape == (78,)
+    assert packed.shape == (2 * 21,)  # two triangles of 6 x 6
     assert abs(np.linalg.norm(packed) - np.linalg.norm(m)) <= 1e-15 * np.linalg.norm(m)
     back = unpack(packed)
     assert np.array_equal(back, back.T)
+    assert not back[np.not_equal.outer(parity, parity)].any()
     assert np.array_equal(np.diag(back), np.diag(m))
     # sqrt(2) x / sqrt(2) rounds back to x or to a neighbouring double
     assert np.all(np.abs(back - m) <= np.spacing(np.abs(m)))
 
 
 def test_sector_apply_is_the_full_matvec_on_symmetric_matrices():
-    superblock = truncated_superblock()
-    pack, unpack, apply = superblock.sector()
-    a = np.random.default_rng(3).standard_normal((12, 12))
-    m = unpack(pack(a + a.T))
+    superblock, parity = truncated_superblock()
+    pack, unpack, apply = superblock.sector(parity)
+    m = unpack(pack(sector_matrix(parity, 3)))
     full = superblock.matvec(m.ravel()).reshape(12, 12)
     assert np.linalg.norm(unpack(apply(pack(m))) - full) <= 1e-12 * np.linalg.norm(full)
 
 
 def test_sector_apply_is_self_adjoint():
-    _, _, apply = truncated_superblock().sector()
-    dense = np.stack([apply(col) for col in np.eye(78)], axis=1)
+    superblock, parity = truncated_superblock()
+    _, _, apply = superblock.sector(parity)
+    dense = np.stack([apply(col) for col in np.eye(42)], axis=1)
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_sector_rejects_labels_that_are_not_a_product():
+    superblock, parity = truncated_superblock()
+    flipped = parity.copy()
+    flipped[0] = -flipped[0]
+    with pytest.raises(ValueError, match="not a product"):
+        superblock.sector(flipped)
 
 
 def full_space_step(block, config):
     """The growth step with its ground state solved on the whole block x
-    mirror space by the full-space matvec, and truncated as dmrg_step does."""
+    mirror space by the full-space matvec, and truncated by one
+    diagonalisation of the whole density matrix."""
     enlarged = dmrg._enlarge(block, config)
     n = enlarged.basis_size
     superblock = dmrg.Superblock(enlarged.hamiltonian, enlarged.edge_phi)
@@ -159,31 +177,47 @@ def full_space_step(block, config):
     basis = rho.eigenvectors[:, :kept]
     kept_ham = basis.T @ enlarged.hamiltonian @ basis
     edge = basis.T @ dmrg._edge_field(enlarged.edge_phi, n) @ basis
+    # unlabelled: one diagonalisation of rho mixes parities in degenerate
+    # multiplets, and this reference never splits into sectors
     truncated = dmrg.DmrgBlock(length=enlarged.length,
                                hamiltonian=0.5 * (kept_ham + kept_ham.T),
-                               edge_phi=edge)
+                               edge_phi=edge, parity=np.zeros(kept, dtype=int))
     return truncated, energy, qs.von_neumann_entropy(rho), kept
+
+
+@pytest.fixture
+def truncations(monkeypatch):
+    """(ground state M, enlarged parity, kept basis, kept parity) of every
+    truncation made while the test runs."""
+    calls = []
+    truncate = dmrg._truncate
+
+    def recording(matrix, parity, kept_states):
+        result = truncate(matrix, parity, kept_states)
+        calls.append((matrix, parity) + result[:2])
+        return result
+
+    monkeypatch.setattr(dmrg, "_truncate", recording)
+    return calls
 
 
 @pytest.mark.parametrize("config", [
     dmrg.DmrgConfig(),
     dmrg.DmrgConfig(mass=0.1, local_dim=12, kept_states=16, target_length=6),
-], ids=["default", "mass-0.1"])
-def test_step_matches_the_full_space_solve(config, monkeypatch):
-    solved = []
-
-    def recording(state):
-        solved.append(state.coeff)
-        return qs.reduced_density_left(state)
-
-    monkeypatch.setattr(dmrg, "reduced_density_left", recording)
+    dmrg.DmrgConfig(local_dim=5, mass=0.8, kept_states=10, target_length=8),
+    dmrg.DmrgConfig(kept_states=1),
+], ids=["default", "mass-0.1", "odd-local-dim", "kept-1"])
+def test_step_matches_the_full_space_solve(config, truncations):
+    # the full-space solve sees every sector, so this also checks that the
+    # ground state lies in the even one
     block = reference = empty_block()
     for _ in range(config.target_length // 2):
         enlarged = dmrg._enlarge(block, config)
         superblock = dmrg.Superblock(enlarged.hamiltonian, enlarged.edge_phi)
         block, iterate = dmrg.dmrg_step(block, config)
-        m = solved[-1]
+        m, parity = truncations[-1][:2]
         assert np.array_equal(m, m.T)
+        assert not m[np.not_equal.outer(parity, parity)].any()
         residual = superblock.matvec(m.ravel()) - iterate.ground_energy * m.ravel()
         assert np.linalg.norm(residual) <= config.gs_tolerance
 
@@ -191,6 +225,48 @@ def test_step_matches_the_full_space_solve(config, monkeypatch):
         assert abs(iterate.ground_energy - energy) <= 1e-12 * abs(energy)
         assert abs(iterate.half_chain_entropy - entropy) <= 1e-10
         assert iterate.kept == kept
+
+
+@pytest.mark.parametrize("config", [
+    dmrg.DmrgConfig(),
+    dmrg.DmrgConfig(mass=0.1, local_dim=12, kept_states=16, target_length=6),
+], ids=["default", "mass-0.1"])
+def test_blocks_conserve_parity_exactly(config, truncations):
+    block = empty_block()
+    for _ in range(config.target_length // 2):
+        enlarged = dmrg._enlarge(block, config)
+        p = enlarged.parity
+        assert not enlarged.hamiltonian[np.not_equal.outer(p, p)].any()
+        edge = dmrg._edge_field(enlarged.edge_phi, enlarged.basis_size)
+        assert not edge[np.equal.outer(p, p)].any()
+        block, _ = dmrg.dmrg_step(block, config)
+        _, parity, basis, labels = truncations[-1]
+        # each kept vector is an exact eigenvector of the parity operator
+        assert np.array_equal(parity[:, None] * basis, basis * labels)
+        assert np.abs(basis.T @ (parity[:, None] * basis) - np.diag(labels)).max() <= 1e-13
+        assert np.array_equal(labels, np.sort(labels)[::-1])  # even first
+        assert np.array_equal(block.parity, labels)
+
+
+def test_truncation_skips_a_sector_where_the_state_is_zero(decompositions):
+    parity = np.array([1, -1, 1, -1])
+    matrix = np.zeros((4, 4))
+    matrix[np.ix_([0, 2], [0, 2])] = [[0.8, 0.1], [0.1, 0.3]]
+    basis, labels, w, kept = dmrg._truncate(matrix / np.linalg.norm(matrix), parity, 3)
+    assert decompositions == ["eigh"]  # BipartiteState rejects a zero matrix
+    assert kept == 3 and w[2] == w[3] == 0.0
+    assert abs(w.sum() - 1.0) <= 1e-15
+    assert np.array_equal(labels, [1, 1, -1])
+    assert np.array_equal(parity[:, None] * basis, basis * labels)
+
+
+def test_heavy_chain_runs_to_its_target():
+    # at mass 1000 the odd sectors of M hold a weight of about 1e-13
+    config = dmrg.DmrgConfig(mass=1000.0)
+    iterates = dmrg.run(config)
+    assert [it.chain_length for it in iterates] == list(range(2, 21, 2))
+    energy, _ = oracle(20, 1000.0)
+    assert abs(iterates[-1].ground_energy - energy) <= 1e-9 * energy
 
 
 # --- one step --------------------------------------------------------------------------
@@ -217,8 +293,9 @@ def test_density_matrix_spectrum_properties_at_step():
 
 def test_step_decomposes_its_density_matrix_once(decompositions):
     config = dmrg.DmrgConfig(local_dim=8)
-    dmrg.dmrg_step(empty_block(), config)  # packed superblock dim 36: Lanczos
-    assert decompositions == ["eigh"]
+    # packed superblock dim 2 x 10: Lanczos; one eigh per sector of M
+    dmrg.dmrg_step(empty_block(), config)
+    assert decompositions == ["eigh", "eigh"]
 
 
 def test_step_entropy_obeys_block_mirror_symmetry():
@@ -244,7 +321,7 @@ def test_truncation_weight_matches_quantum_state_truncate():
     _, expected_weight = qs.truncate(state, config.kept_states)
     _, iterate = dmrg.dmrg_step(truncated, config)
     assert iterate.kept == config.kept_states
-    assert abs(iterate.truncation_weight - expected_weight) <= 1e-10
+    assert abs(iterate.truncation_weight - expected_weight) <= 1e-6 * expected_weight
 
 
 def test_variational_bound_and_improvement_with_kept_states():
@@ -355,6 +432,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="mass"):
             dmrg.DmrgConfig(mass=mass)
     assert dmrg.DmrgConfig(mass=0.0).mass == 0.0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kept_states", 2.5), ("local_dim", 8.5), ("target_length", 4.0),
+    ("local_dim", True), ("kept_states", "16"), ("target_length", None),
+])
+def test_config_rejects_sizes_that_are_not_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        dmrg.DmrgConfig(**{name: value})
 
 
 def test_direct_run_does_not_depend_on_blas_threads():
