@@ -28,43 +28,51 @@ class Experiment:
 
 
 def _run_symmetry(params, rng):
-    rows = []
+    rows, groups, entries = [], {}, 0  # groups: (d_l, d_r) -> [(row, draw)]
     for trial in range(params["trials"]):
         d_l = int(rng.integers(2, params["max_dim"] + 1))
         d_r = int(rng.integers(2, params["max_dim"] + 1))
-        state = quantum_state.random_state(d_l, d_r, rng)
-        s_l = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
-        s_r = quantum_state.von_neumann_entropy(quantum_state.reduced_density_right(state))
-        rows.append({"trial": trial, "d_left": d_l, "d_right": d_r,
-                     "s_left": s_l, "s_right": s_r, "abs_diff": abs(s_l - s_r)})
+        rows.append({"trial": trial, "d_left": d_l, "d_right": d_r})
+        groups.setdefault((d_l, d_r), []).append(  # random_state's draw
+            (rows[-1], rng.standard_normal((d_l, d_r)) + 1j * rng.standard_normal((d_l, d_r))))
+        entries += max(d_l, d_r) ** 2
+        if entries < _BATCH_ENTRIES and trial + 1 < params["trials"]:
+            continue
+        for members in groups.values():
+            batch, coeffs = zip(*members)
+            state = quantum_state.BipartiteState(np.stack(coeffs))
+            s_l = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
+            s_r = quantum_state.von_neumann_entropy(quantum_state.reduced_density_right(state))
+            for row, a, b in zip(batch, s_l.tolist(), s_r.tolist()):
+                row.update(s_left=a, s_right=b, abs_diff=abs(a - b))
+        groups, entries = {}, 0
     return rows
 
 
 def _check_symmetry(rows, params):
-    worst = max(r["abs_diff"] for r in rows)
-    return {"entropies_equal": worst <= 1e-9}
-
-
-def _random_mixed(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return quantum_state.DensityMatrix(rho / np.trace(rho).real)
+    return {"entropies_equal": max(r["abs_diff"] for r in rows) <= 1e-9}
 
 
 def _run_growth(params, rng):
-    d_l, d_r = params["dim_left"], params["dim_right"]
+    # a trial draws rho_L's, rho_R's and U's Gaussian, each real part first
+    dims = (params["dim_left"], params["dim_right"], params["dim_left"] * params["dim_right"])
+    per_batch = max(1, _BATCH_ENTRIES // dims[2] ** 2)
     rows = []
-    for trial in range(params["trials"]):
-        rho_l = _random_mixed(d_l, rng)
-        rho_r = _random_mixed(d_r, rng)
-        u = quantum_state.random_unitary(d_l * d_r, rng)
-        out_l, out_r = quantum_state.evolve_product(rho_l, rho_r, u)
-        s_in = (quantum_state.von_neumann_entropy(rho_l)
-                + quantum_state.von_neumann_entropy(rho_r))
-        s_out = (quantum_state.von_neumann_entropy(out_l)
-                 + quantum_state.von_neumann_entropy(out_r))
-        rows.append({"trial": trial, "s_in": s_in, "s_out": s_out,
-                     "slack": s_out - s_in})
+    for start in range(0, params["trials"], per_batch):
+        count = min(per_batch, params["trials"] - start)
+        draw = np.split(rng.standard_normal((count, 2 * sum(d * d for d in dims))),
+                        np.cumsum([2 * d * d for d in dims[:2]]), axis=1)
+        g_l, g_r, g_u = (g.reshape(count, 2, d, d) for g, d in zip(draw, dims))
+        # the mixed state g g^H / Tr is the reduced state of the pure state g^*
+        rhos = tuple(quantum_state.reduced_density_left(
+            quantum_state.BipartiteState(g[:, 0] - 1j * g[:, 1])) for g in (g_l, g_r))
+        u = quantum_state.haar_unitary(g_u[:, 0] + 1j * g_u[:, 1])
+        del draw, g_l, g_r, g_u  # free the raw draws before the evolution's products
+        outs = quantum_state.evolve_product(*rhos, u)
+        s_in, s_out = (sum(quantum_state.von_neumann_entropy(rho) for rho in pair)
+                       for pair in (rhos, outs))
+        rows += [{"trial": start + k, "s_in": a, "s_out": b, "slack": b - a}
+                 for k, (a, b) in enumerate(zip(s_in.tolist(), s_out.tolist()))]
     return rows
 
 
@@ -72,6 +80,7 @@ def _check_growth(rows, params):
     return {"entropy_never_decreases": min(r["slack"] for r in rows) >= -1e-9}
 
 
+_BATCH_ENTRIES = 2 ** 14  # complex entries per stacked array of symmetry or growth trials
 _PROJECTION_BATCH = 256  # random projections drawn and orthonormalised together
 
 

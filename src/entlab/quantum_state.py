@@ -2,7 +2,8 @@
 them: reduced density matrices, von Neumann entropy, Schmidt decomposition
 and optimal low-rank truncation.
 
-States are immutable after construction; entropies are in nats.
+States are immutable after construction; entropies are in nats.  Leading
+axes of an array, where a function allows them, index a stack of matrices.
 """
 
 from __future__ import annotations
@@ -26,52 +27,44 @@ __all__ = [
     "truncation_distance",
     "evolve_product",
     "random_state",
-    "random_unitary",
+    "haar_unitary",
 ]
 
-_HERM_TOL = 1e-12
-_EVAL_TOL = 1e-12
-_TRACE_TOL = 1e-12
+_TOL = 1e-12  # of each DensityMatrix check: Hermiticity, trace, eigenvalues
 
 
 @dataclass(frozen=True)
 class BipartiteState:
     """Pure state of a left (dim d_L) times right (dim d_R) system, stored as
-    the coefficient matrix coeff[a, A] over the product basis.  The
-    constructor normalizes, so sum |coeff|^2 == 1.  A real matrix is kept
-    as float64 and a complex one as complex128."""
+    the coefficient matrix coeff[..., a, A] over the product basis.  The
+    constructor normalizes each matrix, so sum |coeff|^2 == 1.  A real matrix
+    is kept as float64 and a complex one as complex128."""
 
     coeff: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeff,
                        dtype=complex if np.iscomplexobj(self.coeff) else float)
-        if c.ndim != 2 or c.size == 0:
-            raise ValueError(f"coefficient matrix must be 2-d, got {c.shape}")
+        if c.ndim < 2 or c.size == 0:
+            raise ValueError(f"coefficient matrices must be 2-d or stacked, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficient matrix has non-finite entries")
-        norm = np.linalg.norm(c)
-        if norm == 0.0:
+        row = c.reshape(*c.shape[:-2], 1, -1)  # per matrix, np.linalg.norm's dot products
+        parts = (row.real, row.imag) if np.iscomplexobj(c) else (row,)
+        norm = np.sqrt(sum(x @ x.swapaxes(-1, -2) for x in parts))
+        if not np.all(norm):
             raise ValueError("coefficient matrix is zero")
         c = c / norm
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 
-    @property
-    def d_left(self) -> int:
-        return self.coeff.shape[0]
-
-    @property
-    def d_right(self) -> int:
-        return self.coeff.shape[1]
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix; validated on
-    construction (tolerance 1e-12) from its one eigendecomposition, which
-    it keeps: `eigenvalues` descending and `eigenvectors` the matching
-    orthonormal columns.  All three arrays are read-only."""
+    """Hermitian, positive-semidefinite, unit-trace matrix (or stack); each
+    is validated on construction (tolerance 1e-12) from its one
+    eigendecomposition, which it keeps: `eigenvalues` descending and
+    `eigenvectors` the matching orthonormal columns.  All are read-only."""
 
     entries: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
@@ -79,46 +72,45 @@ class DensityMatrix:
 
     def __post_init__(self):
         rho = np.array(self.entries)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
-        if not np.abs(rho - rho.conj().T).max() <= _HERM_TOL:
+        # `not worst <= tol`: a NaN anywhere makes the worst NaN, which fails
+        if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= _TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        trace = complex(np.trace(rho))
-        if not abs(trace - 1.0) <= _TRACE_TOL:
-            raise ValueError(f"trace {trace} differs from 1 beyond 1e-12")
+        deviation = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
+        if not deviation <= _TOL:
+            raise ValueError(f"trace differs from 1 by {deviation:.3e}, beyond 1e-12")
         values, vectors = np.linalg.eigh(rho)
-        if not values[0] >= -_EVAL_TOL:
+        if not values.min() >= -_TOL:
             raise ValueError("density matrix has eigenvalue below -1e-12")
-        for name, array in (("entries", rho), ("eigenvalues", values[::-1]),
-                            ("eigenvectors", vectors[:, ::-1])):
+        for name, array in (("entries", rho), ("eigenvalues", values[..., ::-1]),
+                            ("eigenvectors", vectors[..., ::-1])):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def reduced_density_right(state: BipartiteState) -> DensityMatrix:
     """Trace out the left part: rho_R = psi^dagger psi / Tr."""
-    psi = state.coeff
-    rho = psi.conj().T @ psi
-    return DensityMatrix(rho / np.trace(rho).real)
+    rho = state.coeff.conj().swapaxes(-1, -2) @ state.coeff
+    return DensityMatrix(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def reduced_density_left(state: BipartiteState) -> DensityMatrix:
     """Trace out the right part: rho_L = psi^* psi^T / Tr."""
-    psi = state.coeff
-    rho = psi.conj() @ psi.T
-    return DensityMatrix(rho / np.trace(rho).real)
+    rho = state.coeff.conj() @ state.coeff.swapaxes(-1, -2)
+    return DensityMatrix(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
-def entropy_from_probs(p) -> float:
-    """Shannon entropy -sum p ln p in nats of a probability vector, with the
-    0 ln 0 = 0 convention.  Entries are clamped to [0, 1] before the log."""
+def entropy_from_probs(p):
+    """Shannon entropy -sum p ln p in nats along the last axis, with the
+    0 ln 0 = 0 convention; a float for one vector.  Entries are clamped to
+    [0, 1] before the log; a non-finite entry raises ValueError."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities have non-finite entries")
     p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    # ln 1 stands in for ln 0; a pure state gets 0.0 - 0.0 = +0.0, not -0.0
+    s = 0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def bose_entropy(eps):
@@ -129,8 +121,8 @@ def bose_entropy(eps):
     return eps * q / -np.expm1(-eps) - np.log1p(-q)
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S = -Tr rho ln rho in nats, from the eigenvalues of rho."""
+def von_neumann_entropy(rho: DensityMatrix):
+    """S = -Tr rho ln rho in nats, from the eigenvalues of rho (of each)."""
     return entropy_from_probs(rho.eigenvalues)
 
 
@@ -152,8 +144,8 @@ def truncate(state: BipartiteState, m: int) -> tuple[BipartiteState, float]:
     Returns the truncated state and the discarded weight sum_{k>m} c_k^2
     (measured before renormalization).
     """
-    if not 1 <= m <= state.d_left:
-        raise ValueError(f"m={m} out of range [1, {state.d_left}]")
+    if not 1 <= m <= len(state.coeff):
+        raise ValueError(f"m={m} out of range [1, {len(state.coeff)}]")
     u, s, v = numerics.svd(state.coeff)
     kept = u[:, :m] @ (s[:m, None] * v[:, :m].conj().T)
     weight = float((s[m:] ** 2).sum())
@@ -181,23 +173,22 @@ def evolve_product(
     unitary: np.ndarray,
 ) -> tuple[DensityMatrix, DensityMatrix]:
     """Evolve the product state rho_L x rho_R by a unitary on the composite
-    space and return the partial traces of the result."""
-    d_l, d_r = rho_left.dim, rho_right.dim
+    space and return the partial traces of the result, stacks matrix by
+    matrix."""
+    d_l, d_r = rho_left.entries.shape[-1], rho_right.entries.shape[-1]
     u = np.asarray(unitary, dtype=complex)
     dim = d_l * d_r
-    if u.shape != (dim, dim):
+    if u.shape[-2:] != (dim, dim):
         raise ValueError(f"unitary must act on dimension {dim}, got {u.shape}")
-    defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    defect = float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(dim)).max())
     if not defect <= 1e-10:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    rho = u @ np.kron(rho_left.entries, rho_right.entries) @ u.conj().T
-    rho = rho.reshape(d_l, d_r, d_l, d_r)
-    out_left = np.einsum("aAbA->ab", rho)
-    out_right = np.einsum("aAaB->AB", rho)
-    # re-symmetrize rounding noise before validation
-    out_left = 0.5 * (out_left + out_left.conj().T)
-    out_right = 0.5 * (out_right + out_right.conj().T)
-    return DensityMatrix(out_left), DensityMatrix(out_right)
+    kron = np.einsum("...ab,...AB->...aAbB", rho_left.entries, rho_right.entries)
+    rho = u @ kron.reshape(*kron.shape[:-4], dim, dim) @ u.conj().swapaxes(-1, -2)
+    rho = rho.reshape(*rho.shape[:-2], d_l, d_r, d_l, d_r)
+    # the partial traces, re-symmetrized against rounding noise before validation
+    outs = (np.einsum(spec, rho) for spec in ("...aAbA->...ab", "...aAaB->...AB"))
+    return tuple(DensityMatrix(0.5 * (out + out.conj().swapaxes(-1, -2))) for out in outs)
 
 
 def random_state(d_left: int, d_right: int, rng: np.random.Generator) -> BipartiteState:
@@ -206,10 +197,9 @@ def random_state(d_left: int, d_right: int, rng: np.random.Generator) -> Biparti
     return BipartiteState(c)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-like random unitary: QR of a complex Gaussian matrix with the
-    phase convention fixed by the R diagonal."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def haar_unitary(gaussian: np.ndarray) -> np.ndarray:
+    """Haar random unitary from each complex Gaussian matrix: the Q of its QR,
+    column phases fixed by the R diagonal (Mezzadri, math-ph/0609050)."""
+    q, r = np.linalg.qr(gaussian)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

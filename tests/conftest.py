@@ -4,14 +4,15 @@ import pytest
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """The names of numpy's Hermitian eigensolvers, one entry per call made
-    while the test runs."""
+    """The names of numpy's Hermitian eigensolvers, one entry per matrix
+    decomposed while the test runs: a call on a stack adds one entry per
+    matrix in it."""
     calls = []
 
     def counted(solver):
-        def call(*args, **kwargs):
-            calls.append(solver.__name__)
-            return solver(*args, **kwargs)
+        def call(a, *args, **kwargs):
+            calls.extend([solver.__name__] * int(np.prod(np.shape(a)[:-2])))
+            return solver(a, *args, **kwargs)
         return call
 
     for solver in (np.linalg.eigh, np.linalg.eigvalsh):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +52,59 @@ def test_density_matrix_rejects_nan(entries):
     # a NaN compares false with every tolerance, so each check must fail on it
     with pytest.raises(ValueError):
         qs.DensityMatrix(np.array(entries))
+
+
+def _valid_stack(count, dim, rng):
+    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.2], [0.3, 0.5]]), "not Hermitian"),
+    (np.diag([0.7, 0.7]), "trace"),
+    (np.diag([1.5, -0.5]), "eigenvalue below"),
+    (np.diag([1.0 + 2e-12, -2e-12]), "eigenvalue below"),
+    # NaN fails the first test it meets; a stacked `np.any(x > tol)` would pass it
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "not Hermitian"),
+])
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_stack_with_one_bad_matrix_raises_the_plain_error(bad, message, position):
+    with pytest.raises(ValueError, match=message) as plain:
+        qs.DensityMatrix(bad)
+    stack = _valid_stack(7, 2, np.random.default_rng(position)).astype(complex)
+    stack[position] = bad
+    with pytest.raises(ValueError) as stacked:
+        qs.DensityMatrix(stack.reshape(7, 1, 2, 2))
+    assert str(stacked.value) == str(plain.value)
+
+
+def test_stack_validates_and_decomposes_each_matrix_like_a_plain_one():
+    rng = np.random.default_rng(16)
+    stack = qs.DensityMatrix(_valid_stack(6, 4, rng).reshape(2, 3, 4, 4))
+    assert stack.eigenvalues.shape == (2, 3, 4)
+    entropies = qs.von_neumann_entropy(stack)
+    assert entropies.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        plain = qs.DensityMatrix(stack.entries[index])
+        assert np.array_equal(stack.eigenvalues[index], plain.eigenvalues)
+        assert entropies[index] == qs.von_neumann_entropy(plain)
+
+
+@pytest.mark.parametrize("imaginary", [0.0, 1j])
+def test_stacked_state_normalizes_each_matrix_to_its_plain_bits(imaginary):
+    # c / np.linalg.norm(c) is the plain normalization: the DMRG and oracle
+    # reports depend on these bits
+    rng = np.random.default_rng(17)
+    coeff = rng.standard_normal((5, 3, 4)) + imaginary * rng.standard_normal((5, 3, 4))
+    coeff[2] *= 1e-3
+    stack = qs.BipartiteState(coeff)
+    for k in range(5):
+        assert np.array_equal(stack.coeff[k], coeff[k] / np.linalg.norm(coeff[k]))
+        assert np.array_equal(stack.coeff[k], qs.BipartiteState(coeff[k]).coeff)
+    coeff[4] = 0.0
+    with pytest.raises(ValueError, match="zero"):
+        qs.BipartiteState(coeff)
 
 
 def test_real_state_stays_real_and_complex_stays_complex():
@@ -141,6 +196,26 @@ def test_entropy_from_probs_clamps_and_skips_zeros():
     assert qs.entropy_from_probs(np.array([1.0, 0.0, -1e-17])) == 0.0
     p = np.array([0.25, 0.75, 0.0])
     assert qs.entropy_from_probs(p) == -(p[:2] * np.log(p[:2])).sum()
+
+
+@pytest.mark.parametrize("p", [[1.0], [1.0, 0.0], [0.0, 1.0, -1e-17]])
+def test_entropy_of_a_pure_state_is_positive_zero(p):
+    s = qs.entropy_from_probs(p)
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0
+
+
+@pytest.mark.parametrize("p", [[np.nan, 1.0], [0.5, 0.5, np.inf], [1.0, -np.inf]])
+def test_entropy_from_probs_rejects_non_finite_input(p):
+    with pytest.raises(ValueError, match="non-finite"):
+        qs.entropy_from_probs(p)
+
+
+def test_entropy_from_probs_of_a_stack_is_each_row_entropy():
+    p = np.array([[[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], [[0.2, 0.3, 0.5], [0.0, 0.9, 0.1]]])
+    s = qs.entropy_from_probs(p)
+    assert s.shape == (2, 2)
+    for index in np.ndindex(2, 2):
+        assert abs(s[index] - qs.entropy_from_probs(p[index])) <= 1e-16
 
 
 def test_bose_entropy_matches_symplectic_form():
@@ -302,7 +377,138 @@ def test_truncation_orthonormalises_each_states_projections_at_once(qr_calls):
     assert qr_calls == [(200, 6, 3)] * 3
 
 
+# --- the symmetry and growth runners ----------------------------------------------
+
+def _symmetry_one_trial_at_a_time(params, rng):
+    """The symmetry runner as a loop over plain states: the reference for the
+    stacked runner."""
+    rows = []
+    for trial in range(params["trials"]):
+        d_l = int(rng.integers(2, params["max_dim"] + 1))
+        d_r = int(rng.integers(2, params["max_dim"] + 1))
+        state = qs.random_state(d_l, d_r, rng)
+        s_l = qs.von_neumann_entropy(qs.reduced_density_left(state))
+        s_r = qs.von_neumann_entropy(qs.reduced_density_right(state))
+        rows.append({"trial": trial, "d_left": d_l, "d_right": d_r,
+                     "s_left": s_l, "s_right": s_r, "abs_diff": abs(s_l - s_r)})
+    return rows
+
+
+def _growth_one_trial_at_a_time(params, rng):
+    """The growth runner as a loop over plain density matrices: the reference
+    for the stacked runner."""
+    rows = []
+    for trial in range(params["trials"]):
+        rho_l = _random_mixed(params["dim_left"], rng)
+        rho_r = _random_mixed(params["dim_right"], rng)
+        u = _random_unitary(params["dim_left"] * params["dim_right"], rng)
+        out_l, out_r = qs.evolve_product(rho_l, rho_r, u)
+        s_in = qs.von_neumann_entropy(rho_l) + qs.von_neumann_entropy(rho_r)
+        s_out = qs.von_neumann_entropy(out_l) + qs.von_neumann_entropy(out_r)
+        rows.append({"trial": trial, "s_in": s_in, "s_out": s_out, "slack": s_out - s_in})
+    return rows
+
+
+# 5 trials as in the benchmark smoke test, 200 by default; 1500 symmetry
+# trials (about 60 entries each, 2^14 per batch) and 500 growth trials at
+# 3 x 3 (202 per batch) cross batch boundaries
+@pytest.mark.parametrize("name, params, reference", [
+    ("symmetry", {"trials": 5, "max_dim": 10}, _symmetry_one_trial_at_a_time),
+    ("symmetry", {"trials": 200, "max_dim": 10}, _symmetry_one_trial_at_a_time),
+    ("symmetry", {"trials": 1500, "max_dim": 10}, _symmetry_one_trial_at_a_time),
+    ("growth", {"trials": 5, "dim_left": 3, "dim_right": 3}, _growth_one_trial_at_a_time),
+    ("growth", {"trials": 200, "dim_left": 3, "dim_right": 3}, _growth_one_trial_at_a_time),
+    ("growth", {"trials": 500, "dim_left": 3, "dim_right": 3}, _growth_one_trial_at_a_time),
+    ("growth", {"trials": 30, "dim_left": 2, "dim_right": 5}, _growth_one_trial_at_a_time),
+])
+def test_stacked_runner_matches_one_trial_at_a_time(name, params, reference):
+    rng_ref, rng = np.random.default_rng(21), np.random.default_rng(21)
+    expected = reference(params, rng_ref)
+    rows = experiments.EXPERIMENTS[name].run(params, rng)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(rows) == len(expected)
+    for row, ref in zip(rows, expected):
+        assert row.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, int):
+                assert row[key] == value, key
+            else:
+                assert type(row[key]) is float and abs(row[key] - value) <= 1e-12, key
+
+
+def test_growth_draws_unitaries_in_entry_bounded_batches(qr_calls):
+    experiments.EXPERIMENTS["growth"].run({"trials": 500, "dim_left": 3, "dim_right": 3},
+                                          np.random.default_rng(22))
+    assert qr_calls == [(202, 9, 9), (202, 9, 9), (96, 9, 9)]
+
+
+def test_symmetry_makes_one_stacked_eigh_per_shape_and_batch(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    experiments.EXPERIMENTS["symmetry"].run({"trials": 300, "max_dim": 3},
+                                            np.random.default_rng(23))
+    # 300 trials of at most 9 coefficients fit one batch: four shapes, two
+    # reduced density matrices each
+    assert len(shapes) == 2 * 4
+    assert sum(shape[0] for shape in shapes) == 2 * 300
+
+
+def test_growth_of_one_dimensional_systems_writes_positive_zeros():
+    rows = experiments.EXPERIMENTS["growth"].run({"trials": 3, "dim_left": 1, "dim_right": 1},
+                                                 np.random.default_rng(24))
+    for row in rows:
+        for key in ("s_in", "s_out", "slack"):
+            assert row[key] == 0.0 and math.copysign(1.0, row[key]) == 1.0
+
+
+def test_growth_batch_memory_is_bounded_by_entries_not_trials():
+    # one trial at 24 x 24 holds 576 x 576 complex unitaries (5.3 MB each); a
+    # batch bounded by a trial count would hold 40 of them at once
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            experiments.EXPERIMENTS["growth"].run(
+                {"trials": trials, "dim_left": 24, "dim_right": 24}, np.random.default_rng(25))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= 2 * peak(1)
+
+
 # --- unitary evolution of product states ------------------------------------------
+
+def test_stacked_evolution_matches_each_plain_evolution():
+    rng = np.random.default_rng(18)
+    rho_l = qs.DensityMatrix(_valid_stack(4, 2, rng))
+    rho_r = qs.DensityMatrix(_valid_stack(4, 3, rng))
+    u = qs.haar_unitary(rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6)))
+    out_l, out_r = qs.evolve_product(rho_l, rho_r, u)
+    for k in range(4):
+        ref_l, ref_r = qs.evolve_product(qs.DensityMatrix(rho_l.entries[k]),
+                                         qs.DensityMatrix(rho_r.entries[k]), u[k])
+        assert np.abs(out_l.entries[k] - ref_l.entries).max() <= 1e-15
+        assert np.abs(out_r.entries[k] - ref_r.entries).max() <= 1e-15
+    bad = u.copy()
+    bad[2] *= 1.001
+    with pytest.raises(ValueError, match="defect"):
+        qs.evolve_product(rho_l, rho_r, bad)
+
+
+def test_haar_unitary_of_a_stack_is_each_plain_unitary():
+    rng = np.random.default_rng(19)
+    g = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    u = qs.haar_unitary(g)
+    assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(5)).max() <= 1e-14
+    for k in range(3):
+        assert np.array_equal(u[k], qs.haar_unitary(g[k]))
+
 
 def test_evolve_identity_preserves_entropies():
     rng = np.random.default_rng(11)
@@ -319,6 +525,10 @@ def _random_mixed(dim, rng):
     return qs.DensityMatrix(rho / np.trace(rho).real)
 
 
+def _random_unitary(dim, rng):
+    return qs.haar_unitary(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
 def _pure_density(dim, rng):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -331,7 +541,7 @@ def test_pure_product_inputs_keep_entropies_equal():
         rho_l = _pure_density(3, rng)
         rho_r = _pure_density(3, rng)
         assert qs.von_neumann_entropy(rho_l) <= 1e-10  # pure inputs start at zero
-        u = qs.random_unitary(9, rng)
+        u = _random_unitary(9, rng)
         out_l, out_r = qs.evolve_product(rho_l, rho_r, u)
         s_l, s_r = qs.von_neumann_entropy(out_l), qs.von_neumann_entropy(out_r)
         assert abs(s_l - s_r) <= 1e-9
@@ -343,7 +553,7 @@ def test_entropy_growth_inequality():
         rho_l = _random_mixed(3, rng)
         rho_r = _random_mixed(3, rng)
         s_in = qs.von_neumann_entropy(rho_l) + qs.von_neumann_entropy(rho_r)
-        out_l, out_r = qs.evolve_product(rho_l, rho_r, qs.random_unitary(9, rng))
+        out_l, out_r = qs.evolve_product(rho_l, rho_r, _random_unitary(9, rng))
         s_out = qs.von_neumann_entropy(out_l) + qs.von_neumann_entropy(out_r)
         assert s_out - s_in >= -1e-9
 
