@@ -28,24 +28,24 @@ class Experiment:
 
 
 def _run_symmetry(params, rng):
-    rows, groups, entries = [], {}, 0  # groups: (d_l, d_r) -> [(row, draw)]
-    for trial in range(params["trials"]):
-        d_l = int(rng.integers(2, params["max_dim"] + 1))
-        d_r = int(rng.integers(2, params["max_dim"] + 1))
-        rows.append({"trial": trial, "d_left": d_l, "d_right": d_r})
-        groups.setdefault((d_l, d_r), []).append(  # random_state's draw
-            (rows[-1], rng.standard_normal((d_l, d_r)) + 1j * rng.standard_normal((d_l, d_r))))
-        entries += max(d_l, d_r) ** 2
-        if entries < _BATCH_ENTRIES and trial + 1 < params["trials"]:
-            continue
-        for members in groups.values():
-            batch, coeffs = zip(*members)
-            state = quantum_state.BipartiteState(np.stack(coeffs))
-            s_l = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
-            s_r = quantum_state.von_neumann_entropy(quantum_state.reduced_density_right(state))
-            for row, a, b in zip(batch, s_l.tolist(), s_r.tolist()):
-                row.update(s_left=a, s_right=b, abs_diff=abs(a - b))
-        groups, entries = {}, 0
+    # each trial sits zero-padded in a max_dim x max_dim slot: the padding adds
+    # only zero eigenvalues to rho_L and rho_R, so their entropies are unchanged
+    dim, trials = params["max_dim"], params["trials"]
+    per_batch = max(1, _BATCH_ENTRIES // dim ** 2)
+    rows = []
+    for start in range(0, trials, per_batch):
+        coeff = np.zeros((min(per_batch, trials - start), dim, dim), dtype=complex)
+        for k, slot in enumerate(coeff):
+            d_l = int(rng.integers(2, dim + 1))
+            d_r = int(rng.integers(2, dim + 1))
+            rows.append({"trial": start + k, "d_left": d_l, "d_right": d_r})
+            # random_state's draw
+            slot[:d_l, :d_r] = rng.standard_normal((d_l, d_r)) + 1j * rng.standard_normal((d_l, d_r))
+        state = quantum_state.BipartiteState(coeff)
+        s_l = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
+        s_r = quantum_state.von_neumann_entropy(quantum_state.reduced_density_right(state))
+        for row, a, b in zip(rows[start:], s_l.tolist(), s_r.tolist()):
+            row.update(s_left=a, s_right=b, abs_diff=abs(a - b))
     return rows
 
 
@@ -80,8 +80,7 @@ def _check_growth(rows, params):
     return {"entropy_never_decreases": min(r["slack"] for r in rows) >= -1e-9}
 
 
-_BATCH_ENTRIES = 2 ** 14  # complex entries per stacked array of symmetry or growth trials
-_PROJECTION_BATCH = 256  # random projections drawn and orthonormalised together
+_BATCH_ENTRIES = 2 ** 14  # complex entries per stacked array of trials or projections
 
 
 def _best_random_distance(coeff, keep, count, rng):
@@ -90,9 +89,10 @@ def _best_random_distance(coeff, keep, count, rng):
     A batch draws its projections in that order, so the stream is the same
     as one projection at a time."""
     dim = coeff.shape[0]
+    per_batch = max(1, _BATCH_ENTRIES // dim ** 2)  # the residual is the largest array
     best = np.inf
-    for start in range(0, count, _PROJECTION_BATCH):
-        g = rng.standard_normal((min(_PROJECTION_BATCH, count - start), 2, dim, keep))
+    for start in range(0, count, per_batch):
+        g = rng.standard_normal((min(per_batch, count - start), 2, dim, keep))
         q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
         residual = q @ (q.conj().swapaxes(-1, -2) @ coeff)
         residual -= coeff
@@ -139,7 +139,7 @@ def _run_oracle(params, rng):
     potential, exact_energy, s_gauss = _gaussian_chain(params["n_sites"], params["mass"], cut)
     rows = []
     for d in (params["fock_cutoff"] // 2, params["fock_cutoff"]):
-        state, energy = harmonic_chain.fock_ground_state(potential, d, cut=cut)
+        state, energy = harmonic_chain.fock_ground_state(potential, d)
         rho = quantum_state.reduced_density_left(state)
         s_fock = quantum_state.von_neumann_entropy(rho)
         rows.append({"fock_cutoff": d, "energy": energy,

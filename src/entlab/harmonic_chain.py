@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -175,51 +175,40 @@ def oscillator_ops(omega: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     return h, phi
 
 
-def _embed(ops: dict[int, np.ndarray], dims: Sequence[int]) -> np.ndarray:
-    """Kronecker product over the sites of ops[site], the identity elsewhere."""
-    out = np.array([[1.0]])
-    for s, d in enumerate(dims):
-        out = np.kron(out, ops.get(s, np.eye(d)))
-    return out
-
-
-def fock_ground_state(
-    potential: np.ndarray,
-    d: int,
-    cut: int | None = None,
-) -> tuple[BipartiteState, float]:
+def fock_ground_state(potential: np.ndarray, d: int) -> tuple[BipartiteState, float]:
     """Brute-force ground state of H = sum pi^2/2 + phi^T V phi / 2 in a
     truncated product Fock basis, d levels per site in the local eigenbasis
     at each site's self-frequency sqrt(V_ii).
 
-    Returns the ground state as a BipartiteState split at `cut` (default
-    half) together with the ground energy.  The basis is a nested family in
-    d, so the energy decreases monotonically toward the exact value.
+    Returns the ground state as a BipartiteState split after the first
+    n // 2 sites, together with the ground energy.  H is applied to the
+    (d,) * n site tensor one site operator at a time, never formed.  The
+    basis is a nested family in d, so the energy decreases monotonically
+    toward the exact value.
     """
     v = np.asarray(potential, dtype=float)
     n = v.shape[0]
+    if n < 2:
+        raise ValueError("a one-site chain has no cut")
     if d < 2:
         raise ValueError("d must be >= 2")
     size = d ** n
     if size > DENSE_LIMIT:
         raise ValueError(
-            f"dense basis of size {d}^{n} = {size} exceeds limit {DENSE_LIMIT}")
-    if cut is None:
-        cut = n // 2
-    if not 1 <= cut < max(n, 2):
-        raise ValueError(f"cut {cut} outside (0, {n})")
+            f"Fock basis of size {d}^{n} = {size} exceeds limit {DENSE_LIMIT}")
 
-    dims = [d] * n
-    h = np.zeros((size, size))
-    phis = []
-    for i in range(n):
-        hi, phi = oscillator_ops(float(np.sqrt(v[i, i])), d)
-        phis.append(phi)
-        h += _embed({i: hi}, dims)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i, j] != 0.0:
-                h += v[i, j] * _embed({i: phis[i], j: phis[j]}, dims)
+    ops = [oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
+    bonds = [(i, j, v[i, j]) for i in range(n) for j in range(i + 1, n) if v[i, j] != 0.0]
 
-    energy, vector = numerics.smallest_eigenpair(lambda vec: h @ vec, size)
-    return BipartiteState(vector.reshape(d ** cut, d ** (n - cut))), energy
+    def on_site(op, site, psi):
+        return np.moveaxis(np.tensordot(op, psi, axes=(1, site)), 0, site)
+
+    def apply(vec):
+        psi = vec.reshape((d,) * n)
+        out = sum(on_site(h, i, psi) for i, (h, _) in enumerate(ops))
+        for i, j, coupling in bonds:
+            out += coupling * on_site(ops[i][1], i, on_site(ops[j][1], j, psi))
+        return out.ravel()
+
+    energy, vector = numerics.smallest_eigenpair(apply, size)
+    return BipartiteState(vector.reshape(d ** (n // 2), d ** (n - n // 2))), energy

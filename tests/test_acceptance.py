@@ -95,7 +95,7 @@ def test_c04_gaussian_vs_fock_oracle():
     s_gauss = hc.block_entropy(gs, [0])
     entropies = {}
     for d in (10, 20):
-        state, _ = hc.fock_ground_state(potential, d, cut=1)
+        state, _ = hc.fock_ground_state(potential, d)
         entropies[d] = qs.von_neumann_entropy(qs.reduced_density_left(state))
     convergence = abs(entropies[20] - entropies[10])
     agreement = abs(entropies[20] - s_gauss)
@@ -110,7 +110,7 @@ def test_c05_thermal_spectrum_structure():
     potential = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(potential)
     predicted = hc.entanglement_spectrum(gs, [0], n_levels=10)
-    state, _ = hc.fock_ground_state(potential, d=20, cut=1)
+    state, _ = hc.fock_ground_state(potential, d=20)
     rho = qs.reduced_density_left(state)
     observed = np.sort(np.linalg.eigvalsh(rho.entries))[::-1][:10]
     gap = float(np.abs(predicted - observed).max())

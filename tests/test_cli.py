@@ -425,21 +425,17 @@ def test_cli_imports_no_physics_module():
     assert not {name.rpartition(".")[2] for name in imported} & physics
 
 
-def test_run_all_script_loads():
-    spec = importlib.util.spec_from_file_location(
-        "run_all", ROOT / "scripts" / "run_all.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # main() runs only under __main__
+    return module
+
+
+def test_run_all_script_loads():
+    module = _load_script("run_all")
     assert module.EXPERIMENTS is experiments.EXPERIMENTS
     assert callable(module.main)
-
-
-def _load_compare_reports():
-    spec = importlib.util.spec_from_file_location(
-        "compare_reports", ROOT / "scripts" / "compare_reports.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _write_reports(directory, rows, checks=None, name="dmrg.json"):
@@ -450,7 +446,7 @@ def _write_reports(directory, rows, checks=None, name="dmrg.json"):
 
 
 def test_compare_reports_prints_float_differences(tmp_path, capsys):
-    compare = _load_compare_reports()
+    compare = _load_script("compare_reports")
     rows = [{"kept": 4, "energy": 1.0, "note": None}, {"kept": 8, "energy": 2.0, "note": "x"}]
     _write_reports(tmp_path / "a", rows)
     _write_reports(tmp_path / "b", rows)
@@ -467,7 +463,7 @@ def test_compare_reports_prints_float_differences(tmp_path, capsys):
 
 @pytest.mark.parametrize("change", ["missing", "rows", "cell", "verdict"])
 def test_compare_reports_fails_on_structural_change(tmp_path, capsys, change):
-    compare = _load_compare_reports()
+    compare = _load_script("compare_reports")
     rows = [{"kept": 4, "energy": 1.0}, {"kept": 8, "energy": 2.0}]
     _write_reports(tmp_path / "a", rows)
     changed = {"missing": dict(rows=rows, name="other.json"),
@@ -477,3 +473,13 @@ def test_compare_reports_fails_on_structural_change(tmp_path, capsys, change):
     _write_reports(tmp_path / "b", **changed)
     assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "FAIL " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys, pairs):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        _load_script("bench_pairs").main([str(tmp_path), str(tmp_path), str(out), "--pairs", pairs])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ def test_fock_entropy_matches_covariance_oracle():
     s_cov = hc.block_entropy(gs, [0])
     s_fock = {}
     for d in (10, 20):
-        state, _ = hc.fock_ground_state(v, d, cut=1)
+        state, _ = hc.fock_ground_state(v, d)
         s_fock[d] = qs.von_neumann_entropy(qs.reduced_density_left(state))
     assert abs(s_fock[20] - s_fock[10]) <= 1e-4  # cutoff convergence first
     assert abs(s_fock[20] - s_cov) <= 1e-4
@@ -164,24 +166,28 @@ def test_fock_entropy_matches_covariance_oracle():
 
 @pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
 def test_fock_ground_state_is_the_dense_ground_state(n, d):
-    # dims 36 and 64: above the eigensolver's dense limit of 16
-    v = hc.build_potential(n, 0.7)
-    ops = [hc.oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
+    # dims 36 and 64: above the eigensolver's dense limit of 16.  The second
+    # potential also couples every pair of sites beyond neighbours, so every
+    # v_ij is nonzero and each bond of the site-tensor apply is checked
+    chain = hc.build_potential(n, 0.7)
+    apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    for v in (chain, chain + np.where(apart > 1, 0.1 * (apart + 1), 0.0)):
+        ops = [hc.oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
 
-    def on_sites(factors):  # kron over the sites, the identity where absent
-        out = np.eye(1)
-        for s in range(n):
-            out = np.kron(out, factors.get(s, np.eye(d)))
-        return out
+        def on_sites(factors):  # kron over the sites, the identity where absent
+            out = np.eye(1)
+            for s in range(n):
+                out = np.kron(out, factors.get(s, np.eye(d)))
+            return out
 
-    h = sum(on_sites({i: ops[i][0]}) for i in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = h + v[i, j] * on_sites({i: ops[i][1], j: ops[j][1]})
-    values, vectors = np.linalg.eigh(h)
-    state, energy = hc.fock_ground_state(v, d)
-    assert abs(energy - values[0]) <= 1e-12 * abs(values[0])
-    assert abs(state.coeff.ravel() @ vectors[:, 0]) >= 1.0 - 1e-12
+        h = sum(on_sites({i: ops[i][0]}) for i in range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                h = h + v[i, j] * on_sites({i: ops[i][1], j: ops[j][1]})
+        values, vectors = np.linalg.eigh(h)
+        state, energy = hc.fock_ground_state(v, d)
+        assert abs(energy - values[0]) <= 1e-12 * abs(values[0])
+        assert abs(state.coeff.ravel() @ vectors[:, 0]) >= 1.0 - 1e-12
 
 
 def test_fock_rejects_oversized_basis_and_bad_cutoff():
@@ -189,6 +195,20 @@ def test_fock_rejects_oversized_basis_and_bad_cutoff():
         hc.fock_ground_state(hc.build_potential(4, 1.0), d=16)
     with pytest.raises(ValueError):
         hc.fock_ground_state(hc.build_potential(2, 1.0), d=1)
+    with pytest.raises(ValueError, match="no cut"):
+        hc.fock_ground_state(hc.build_potential(1, 1.0), d=4)
+
+
+def test_fock_ground_state_never_forms_the_dense_hamiltonian():
+    # the dense 1600 x 1600 H alone is 19.5 MiB; the site-tensor apply holds
+    # a few 1600-entry vectors and ARPACK's Lanczos basis
+    tracemalloc.start()
+    try:
+        hc.fock_ground_state(hc.build_potential(2, 1.0), 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # --- entanglement spectrum -----------------------------------------------------------
@@ -225,7 +245,7 @@ def test_spectrum_matches_fock_reduced_density():
     v = hc.build_potential(2, 1.0)
     gs = hc.ground_state_covariance(v)
     predicted = hc.entanglement_spectrum(gs, [0], n_levels=10)
-    state, _ = hc.fock_ground_state(v, d=20, cut=1)
+    state, _ = hc.fock_ground_state(v, d=20)
     rho = qs.reduced_density_left(state)
     observed = np.sort(np.linalg.eigvalsh(rho.entries))[::-1][:10]
     assert np.abs(predicted - observed).max() <= 1e-3

@@ -353,8 +353,10 @@ def _truncation_one_projection_at_a_time(params, rng):
     return rows
 
 
-# 300 projections cross a batch boundary and end in a partial batch
-@pytest.mark.parametrize("seed, projections", [(0, 200), (1, 300), (2, 300), (3, 1)])
+# at dim 6 a batch holds 455 projections: 1000 cross two batch boundaries
+# and end in a partial batch
+@pytest.mark.parametrize("seed, projections",
+                         [(0, 200), (1, 300), (2, 300), (3, 1), (4, 1000)])
 def test_batched_truncation_matches_one_projection_at_a_time(seed, projections):
     params = {"states": 4, "dim": 6, "keep": 3, "random_projections": projections}
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -453,10 +455,26 @@ def test_symmetry_makes_one_stacked_eigh_per_shape_and_batch(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     experiments.EXPERIMENTS["symmetry"].run({"trials": 300, "max_dim": 3},
                                             np.random.default_rng(23))
-    # 300 trials of at most 9 coefficients fit one batch: four shapes, two
-    # reduced density matrices each
-    assert len(shapes) == 2 * 4
-    assert sum(shape[0] for shape in shapes) == 2 * 300
+    # 300 trials in 3 x 3 slots fit one batch: one stacked eigh for each of
+    # the two reduced density matrices, whatever the trials' shapes
+    assert shapes == [(300, 3, 3)] * 2
+
+
+def test_padded_symmetry_batches_match_one_trial_at_a_time():
+    # at max_dim 12 a batch holds 113 trials: 250 trials cross two batch
+    # boundaries, and most trials fill only part of their 12 x 12 slot
+    params = {"trials": 250, "max_dim": 12}
+    rng_ref, rng = np.random.default_rng(25), np.random.default_rng(25)
+    rows = experiments.EXPERIMENTS["symmetry"].run(params, rng)
+    for trial, row in enumerate(rows):
+        d_l = int(rng_ref.integers(2, params["max_dim"] + 1))
+        d_r = int(rng_ref.integers(2, params["max_dim"] + 1))
+        state = qs.random_state(d_l, d_r, rng_ref)
+        assert (row["trial"], row["d_left"], row["d_right"]) == (trial, d_l, d_r)
+        assert abs(row["s_left"] - qs.von_neumann_entropy(qs.reduced_density_left(state))) <= 1e-13
+        assert abs(row["s_right"] - qs.von_neumann_entropy(qs.reduced_density_right(state))) <= 1e-13
+    assert len(rows) == params["trials"]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_growth_of_one_dimensional_systems_writes_positive_zeros():
