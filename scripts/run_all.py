@@ -20,7 +20,7 @@ def main() -> int:
                                       out=out_dir / f"{name}.{fmt}")
             report = run_experiment(config)
         status = "PASS" if report.passed else "FAIL"
-        print(f"{name:14s} {status}  rows={len(report.rows):5d}  "
+        print(f"{name:14s} {status}  rows={report.row_count:5d}  "
               f"wall={report.wall_clock_s:7.2f}s  "
               f"checks={sum(report.checks.values())}/{len(report.checks)}")
         if not report.passed:

@@ -2,9 +2,9 @@
 its report.
 
 Each experiment (see `experiments`) draws its randomness from a seeded
-generator (PCG64), emits plot-ready rows to CSV or JSON, and recomputes its
-pass/fail checks from the emitted rows.  Output files are byte-identical for
-identical config + seed, and are written whole or not at all.
+generator (PCG64), returns plot-ready columns, written as rows to CSV or JSON,
+and recomputes its pass/fail checks from those columns.  Output files are
+byte-identical for identical config + seed, and are written whole or not at all.
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage/config error or not enough
 memory, 3 I/O error, 4 numerical failure.
@@ -13,7 +13,6 @@ memory, 3 I/O error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -81,10 +80,14 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunReport:
     config: ExperimentConfig
-    rows: list
+    table: dict  # column name -> list of cells, every column of one length
     checks: dict
     passed: bool
     wall_clock_s: float
+
+    @property
+    def row_count(self) -> int:
+        return len(next(iter(self.table.values()), ()))
 
     def file_payload(self) -> dict:
         # wall clock deliberately left out: identical config + seed must
@@ -95,7 +98,7 @@ class RunReport:
             "rng": RNG_NAME,
             "parameters": self.config.params,
             "version": __version__,
-            "rows": self.rows,
+            "rows": [],  # _write_report writes the table's rows in here
             "checks": self.checks,
             "passed": self.passed,
         }
@@ -128,23 +131,58 @@ def _finite(text) -> float:
 # --- report serialization ---------------------------------------------------
 
 
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BLOCK_ROWS = 1024  # rows spelled and written at a time: bounds the writer's memory
+
+
+def _cell(value, as_json: bool) -> str:
+    """One cell: a string as csv.writer or json.dump spells it, None in CSV
+    as an empty cell, and any other value in Python's spelling, which
+    `_cells` maps to JSON's."""
+    if isinstance(value, str):
+        if as_json:
+            return json.dumps(value)
+        quoted = any(c in value for c in ',"\r\n')  # a separator, quote or line break
+        return '"' + value.replace('"', '""') + '"' if quoted else value
+    if value is None and not as_json:
+        return ""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def _cells(column: list, as_json: bool) -> list:
+    """A column's cells as csv.writer (lineterminator "\\n") or json.dump
+    spells them, a numpy float64 as a float and not in numpy's repr."""
+    plain = set(map(type, column)) == {float}
+    text = list(map(float.__repr__, column)) if plain else [_cell(v, as_json) for v in column]
+    return list(map(_JSON_WORDS.get, text, text)) if as_json else text
+
+
 def _write_report(report: RunReport, path: Path) -> None:
     """Write the report to a temporary sibling file, then move it into
-    place, so that a failure never leaves a partial report.  A report with
-    no rows is an empty CSV file or a JSON report with `rows: []`."""
+    place, so that a failure never leaves a partial report.  Each column of
+    a block of _BLOCK_ROWS rows is spelled at once.  A report with no rows is
+    an empty CSV file or a JSON report with `rows: []`."""
+    table, count, as_json = report.table, report.row_count, report.config.fmt == "json"
+    if as_json:
+        head, rows, tail = json.dumps(report.file_payload(), indent=2).partition('"rows": [')
+        fields = (f"      {json.dumps(key)}: %s" for key in table)
+        row = ",\n    {\n" + ",\n".join(fields) + "\n    }"
+        head, tail = head + rows, ("\n  " if count else "") + tail + "\n"
+    else:
+        row = ",".join(["%s"] * len(table)) + "\n"
+        head = ",".join(_cells(list(table), False)) + "\n" if count else ""
+        tail = ""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        if report.config.fmt == "csv":
-            with open(tmp, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                if report.rows:
-                    header = list(report.rows[0].keys())
-                    writer.writerow(header)
-                    writer.writerows([row[k] for k in header] for row in report.rows)
-        else:
-            with open(tmp, "w") as fh:
-                json.dump(report.file_payload(), fh, indent=2)
-                fh.write("\n")
+        with open(tmp, "w", newline=None if as_json else "") as fh:
+            fh.write(head)
+            for start in range(0, count, _BLOCK_ROWS):
+                cells = [_cells(column[start:start + _BLOCK_ROWS], as_json)
+                         for column in table.values()]
+                text = "".join(map(row.__mod__, zip(*cells)))
+                fh.write(text[1:] if as_json and not start else text)  # no comma before row 0
+            fh.write(tail)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -153,16 +191,17 @@ def _write_report(report: RunReport, path: Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Run one experiment, write its rows to the output path, and return the
-    report with checks recomputed from the emitted rows."""
+    """Run one experiment, write its table to the output path, and return
+    the report with checks recomputed from the emitted table."""
     experiment = experiments.EXPERIMENTS[config.experiment]
     rng = np.random.default_rng(config.seed)
     start = time.perf_counter()
-    rows = experiment.run(config.params, rng)
+    table = experiment.run(config.params, rng)
     # a report with no rows checks nothing, so it fails
-    checks = experiment.check(rows, config.params) if rows else {"rows_nonempty": False}
+    checks = (experiment.check(table, config.params) if any(table.values())
+              else {"rows_nonempty": False})
     wall = time.perf_counter() - start
-    report = RunReport(config=config, rows=rows, checks=checks,
+    report = RunReport(config=config, table=table, checks=checks,
                        passed=all(checks.values()), wall_clock_s=wall)
     _write_report(report, config.output_path)
     return report
@@ -248,7 +287,7 @@ def main(argv=None) -> int:
     for name, ok in report.checks.items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}")
     print(f"{config.experiment}: {'PASS' if report.passed else 'FAIL'} "
-          f"({len(report.rows)} rows -> {config.output_path})")
+          f"({report.row_count} rows -> {config.output_path})")
     print(f"wall clock: {report.wall_clock_s:.3f} s", file=sys.stderr)
     return 0 if report.passed else 1
 

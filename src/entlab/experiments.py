@@ -3,8 +3,9 @@ draws its rows from a seeded generator, and the check that recomputes its
 pass/fail verdicts from those rows.
 
 A runner takes the validated parameters and a numpy Generator and returns a
-list of row dicts with the same keys in every row.  A check takes the rows,
-never empty, and the parameters and returns a dict of named booleans.
+table: a dict of columns, each a list of the same length, in report order.
+A check takes the table, never of zero length, and the parameters and
+returns a dict of named booleans.
 """
 
 from __future__ import annotations
@@ -32,32 +33,35 @@ def _run_symmetry(params, rng):
     # only zero eigenvalues to rho_L and rho_R, so their entropies are unchanged
     dim, trials = params["max_dim"], params["trials"]
     per_batch = max(1, _BATCH_ENTRIES // dim ** 2)
-    rows = []
+    table = {"trial": list(range(trials)), "d_left": [], "d_right": [],
+             "s_left": [], "s_right": [], "abs_diff": []}
     for start in range(0, trials, per_batch):
         coeff = np.zeros((min(per_batch, trials - start), dim, dim), dtype=complex)
-        for k, slot in enumerate(coeff):
+        for slot in coeff:
             d_l = int(rng.integers(2, dim + 1))
             d_r = int(rng.integers(2, dim + 1))
-            rows.append({"trial": start + k, "d_left": d_l, "d_right": d_r})
+            table["d_left"].append(d_l)
+            table["d_right"].append(d_r)
             # random_state's draw
             slot[:d_l, :d_r] = rng.standard_normal((d_l, d_r)) + 1j * rng.standard_normal((d_l, d_r))
         state = quantum_state.BipartiteState(coeff)
         s_l = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
         s_r = quantum_state.von_neumann_entropy(quantum_state.reduced_density_right(state))
-        for row, a, b in zip(rows[start:], s_l.tolist(), s_r.tolist()):
-            row.update(s_left=a, s_right=b, abs_diff=abs(a - b))
-    return rows
+        table["s_left"] += s_l.tolist()
+        table["s_right"] += s_r.tolist()
+        table["abs_diff"] += np.abs(s_l - s_r).tolist()
+    return table
 
 
-def _check_symmetry(rows, params):
-    return {"entropies_equal": max(r["abs_diff"] for r in rows) <= 1e-9}
+def _check_symmetry(table, params):
+    return {"entropies_equal": max(table["abs_diff"]) <= 1e-9}
 
 
 def _run_growth(params, rng):
     # a trial draws rho_L's, rho_R's and U's Gaussian, each real part first
     dims = (params["dim_left"], params["dim_right"], params["dim_left"] * params["dim_right"])
     per_batch = max(1, _BATCH_ENTRIES // dims[2] ** 2)
-    rows = []
+    table = {"trial": list(range(params["trials"])), "s_in": [], "s_out": [], "slack": []}
     for start in range(0, params["trials"], per_batch):
         count = min(per_batch, params["trials"] - start)
         draw = np.split(rng.standard_normal((count, 2 * sum(d * d for d in dims))),
@@ -71,13 +75,14 @@ def _run_growth(params, rng):
         outs = quantum_state.evolve_product(*rhos, u)
         s_in, s_out = (sum(quantum_state.von_neumann_entropy(rho) for rho in pair)
                        for pair in (rhos, outs))
-        rows += [{"trial": start + k, "s_in": a, "s_out": b, "slack": b - a}
-                 for k, (a, b) in enumerate(zip(s_in.tolist(), s_out.tolist()))]
-    return rows
+        table["s_in"] += s_in.tolist()
+        table["s_out"] += s_out.tolist()
+        table["slack"] += (s_out - s_in).tolist()
+    return table
 
 
-def _check_growth(rows, params):
-    return {"entropy_never_decreases": min(r["slack"] for r in rows) >= -1e-9}
+def _check_growth(table, params):
+    return {"entropy_never_decreases": min(table["slack"]) >= -1e-9}
 
 
 _BATCH_ENTRIES = 2 ** 14  # complex entries per stacked array of trials or projections
@@ -103,24 +108,24 @@ def _best_random_distance(coeff, keep, count, rng):
 
 def _run_truncation(params, rng):
     dim, keep = params["dim"], params["keep"]
-    rows = []
-    for index in range(params["states"]):
+    table = {"state": list(range(params["states"])), "keep_distance": [],
+             "schmidt_tail": [], "best_random_distance": []}
+    for _ in table["state"]:
         state = quantum_state.random_state(dim, dim, rng)
         u, s, _ = quantum_state.schmidt(state)
-        tail = float((s[keep:] ** 2).sum())
         projector = u[:, :keep] @ u[:, :keep].conj().T
-        keep_distance = quantum_state.truncation_distance(
-            state, projector @ state.coeff)
-        best_random = _best_random_distance(state.coeff, keep,
-                                            params["random_projections"], rng)
-        rows.append({"state": index, "keep_distance": keep_distance,
-                     "schmidt_tail": tail, "best_random_distance": best_random})
-    return rows
+        table["keep_distance"].append(quantum_state.truncation_distance(
+            state, projector @ state.coeff))
+        table["schmidt_tail"].append(float((s[keep:] ** 2).sum()))
+        table["best_random_distance"].append(_best_random_distance(
+            state.coeff, keep, params["random_projections"], rng))
+    return table
 
 
-def _check_truncation(rows, params):
-    tail_err = max(abs(r["keep_distance"] - r["schmidt_tail"]) for r in rows)
-    optimal = all(r["keep_distance"] <= r["best_random_distance"] + 1e-12 for r in rows)
+def _check_truncation(table, params):
+    keep = table["keep_distance"]
+    tail_err = max(abs(k - t) for k, t in zip(keep, table["schmidt_tail"]))
+    optimal = all(k <= b + 1e-12 for k, b in zip(keep, table["best_random_distance"]))
     return {"distance_equals_schmidt_tail": tail_err <= 1e-10,
             "kept_projection_is_optimal": optimal}
 
@@ -137,48 +142,44 @@ def _gaussian_chain(n_sites, mass, cut):
 def _run_oracle(params, rng):
     cut = params["n_sites"] // 2
     potential, exact_energy, s_gauss = _gaussian_chain(params["n_sites"], params["mass"], cut)
-    rows = []
-    for d in (params["fock_cutoff"] // 2, params["fock_cutoff"]):
+    table = {"fock_cutoff": [params["fock_cutoff"] // 2, params["fock_cutoff"]],
+             "energy": [], "energy_exact": [exact_energy] * 2, "entropy_fock": [],
+             "entropy_gaussian": [s_gauss] * 2, "entropy_diff": []}
+    for d in table["fock_cutoff"]:
         state, energy = harmonic_chain.fock_ground_state(potential, d)
-        rho = quantum_state.reduced_density_left(state)
-        s_fock = quantum_state.von_neumann_entropy(rho)
-        rows.append({"fock_cutoff": d, "energy": energy,
-                     "energy_exact": exact_energy, "entropy_fock": s_fock,
-                     "entropy_gaussian": s_gauss,
-                     "entropy_diff": abs(s_fock - s_gauss)})
-    return rows
+        s_fock = quantum_state.von_neumann_entropy(quantum_state.reduced_density_left(state))
+        table["energy"].append(energy)
+        table["entropy_fock"].append(s_fock)
+        table["entropy_diff"].append(abs(s_fock - s_gauss))
+    return table
 
 
-def _check_oracle(rows, params):
-    converged = abs(rows[-1]["entropy_fock"] - rows[0]["entropy_fock"]) <= 1e-4
-    return {"fock_cutoff_converged": converged,
-            "gaussian_fock_agreement": rows[-1]["entropy_diff"] <= 1e-4}
+def _check_oracle(table, params):
+    entropy = table["entropy_fock"]
+    return {"fock_cutoff_converged": abs(entropy[-1] - entropy[0]) <= 1e-4,
+            "gaussian_fock_agreement": table["entropy_diff"][-1] <= 1e-4}
 
 
 def _run_dmrg(params, rng):
-    rows = []
-    for it in dmrg.run(dmrg.DmrgConfig(**params)):
-        _, oracle_energy, oracle_entropy = _gaussian_chain(
-            it.chain_length, params["mass"], it.chain_length // 2)
-        rows.append({
-            "chain_length": it.chain_length,
-            "ground_energy": it.ground_energy,
-            "oracle_energy": oracle_energy,
-            "half_chain_entropy": it.half_chain_entropy,
-            "oracle_entropy": oracle_entropy,
-            "truncation_weight": it.truncation_weight,
-            "kept": it.kept,
-        })
-    return rows
+    its = list(dmrg.run(dmrg.DmrgConfig(**params)))
+    oracles = [_gaussian_chain(it.chain_length, params["mass"], it.chain_length // 2)
+               for it in its]
+    return {"chain_length": [it.chain_length for it in its],
+            "ground_energy": [it.ground_energy for it in its],
+            "oracle_energy": [energy for _, energy, _ in oracles],
+            "half_chain_entropy": [it.half_chain_entropy for it in its],
+            "oracle_entropy": [entropy for _, _, entropy in oracles],
+            "truncation_weight": [it.truncation_weight for it in its],
+            "kept": [it.kept for it in its]}
 
 
-def _check_dmrg(rows, params):
+def _check_dmrg(table, params):
     # no division: the oracle entropy is exactly 0 when every mode is frozen
-    last = rows[-1]
-    energy_err = abs(last["ground_energy"] - last["oracle_energy"])
-    entropy_err = abs(last["half_chain_entropy"] - last["oracle_entropy"])
-    return {"energy_within_1_percent": energy_err <= 0.01 * abs(last["oracle_energy"]),
-            "entropy_within_5_percent": entropy_err <= 0.05 * abs(last["oracle_entropy"])}
+    energy, entropy = table["oracle_energy"][-1], table["oracle_entropy"][-1]
+    energy_err = abs(table["ground_energy"][-1] - energy)
+    entropy_err = abs(table["half_chain_entropy"][-1] - entropy)
+    return {"energy_within_1_percent": energy_err <= 0.01 * abs(energy),
+            "entropy_within_5_percent": entropy_err <= 0.05 * abs(entropy)}
 
 
 def _run_modes(params, rng):
@@ -186,13 +187,13 @@ def _run_modes(params, rng):
     x_max = params["x_max"]
     grid = np.linspace(x_max / n, x_max, n)
     values = rindler.angular_wave(params["ell"], grid, params["mass"])
-    return [{"x": float(x), "wave": float(k)} for x, k in zip(grid, values)]
+    return {"x": grid.tolist(), "wave": values.tolist()}
 
 
-def _check_modes(rows, params):
+def _check_modes(table, params):
     x_star = params["ell"] / params["mass"]  # the turning point
-    below = np.array([r["wave"] for r in rows if r["x"] < x_star])
-    above = np.array([r["wave"] for r in rows if r["x"] > x_star])
+    x, wave = np.array(table["x"]), np.array(table["wave"])
+    below, above = wave[x < x_star], wave[x > x_star]
     checks = {"decays_above_turning_point": rindler.sign_changes(above) == 0}
     if params["ell"] >= 2.0:
         checks["oscillates_below_turning_point"] = rindler.sign_changes(below) >= 1
@@ -205,38 +206,43 @@ def _run_spectrum(params, rng):
     ells = spectrum.ell_values
     # |K_{i ell}(m epsilon)| in units of the wave's amplitude A(ell)
     residuals = np.abs(rindler.scaled_wave(ells, params["mass"] * params["epsilon"]))
-    return [{"n": n, "ell": float(ell), "residual": float(residual),
-             "boltzmann_factor": float(np.exp(-rindler.BETA * ell))}
-            for n, (ell, residual) in enumerate(zip(ells, residuals))]
+    return {"n": list(range(len(ells))), "ell": ells.tolist(), "residual": residuals.tolist(),
+            "boltzmann_factor": np.exp(-rindler.BETA * ells).tolist()}
 
 
-def _check_spectrum(rows, params):
-    ells = [r["ell"] for r in rows]
-    return {"residuals_small": max(r["residual"] for r in rows) <= 1e-8,
+def _check_spectrum(table, params):
+    ells = table["ell"]
+    return {"residuals_small": max(table["residual"]) <= 1e-8,
             "ascending": all(b > a for a, b in zip(ells, ells[1:]))}
 
 
 def _run_geom_entropy(params, rng):
-    rows = []
-    for eps in params["epsilons"]:
+    table = {"epsilon": list(params["epsilons"]), "n_modes": [], "entropy": []}
+    for eps in table["epsilon"]:
         spectrum = rindler.discrete_spectrum(params["mass"], eps, params["ell_max"])
-        rows.append({"epsilon": eps, "n_modes": len(spectrum),
-                     "entropy": rindler.geometric_entropy(spectrum)})
-    return rows
+        table["n_modes"].append(len(spectrum))
+        table["entropy"].append(rindler.geometric_entropy(spectrum))
+    return table
 
 
-def _check_geom_entropy(rows, params):
-    ordered = sorted(rows, key=lambda r: -r["epsilon"])
-    entropies = [r["entropy"] for r in ordered]
-    counts = [r["n_modes"] for r in ordered]
+def _check_geom_entropy(table, params):
+    # the regulators are distinct: largest first
+    _, entropies, counts = zip(*sorted(zip(table["epsilon"], table["entropy"],
+                                           table["n_modes"]), reverse=True))
     return {"entropy_grows_as_regulator_shrinks":
                 all(b > a for a, b in zip(entropies, entropies[1:])),
             "mode_count_nondecreasing":
                 all(b >= a for a, b in zip(counts, counts[1:]))}
 
 
+def _extend(table, *columns):
+    """Append a block of rows, given as its columns in the table's order."""
+    for column, values in zip(table.values(), columns):
+        column.extend(values)
+
+
 def _run_kruskal(params, rng):
-    rows = []
+    table = {key: [] for key in ("status", "mass", "r", "t", "u", "v", "uv", "rel_error")}
     masses = params["masses"]
     base, extra = divmod(params["points"], max(1, len(masses)))
     for i, mass in enumerate(masses):
@@ -247,41 +253,37 @@ def _run_kruskal(params, rng):
         back_r, back_t = rindler.from_kruskal(u, v, mass)
         rel = np.maximum(np.abs(back_r - r) / np.abs(r),
                          np.abs(back_t - t) / np.maximum(1.0, np.abs(t)))
-        rows += [{"status": "ok", "mass": mass, "r": r_i, "t": t_i, "u": u_i,
-                  "v": v_i, "uv": u_i * v_i, "rel_error": e}
-                 for r_i, t_i, u_i, v_i, e in zip(r.tolist(), t.tolist(), u.tolist(),
-                                                  v.tolist(), rel.tolist())]
+        _extend(table, ["ok"] * per_mass, [mass] * per_mass, r.tolist(), t.tolist(),
+                u.tolist(), v.tolist(), (u * v).tolist(), rel.tolist())
         # probe sequence r -> 2M+: u v must vanish toward the horizon
         r = 2 * mass * (1.0 + 10.0 ** -np.arange(1.0, 9.0))
         u, v = rindler.to_kruskal(r, 0.0, mass)
-        rows += [{"status": "probe", "mass": mass, "r": r_i, "t": 0.0, "u": u_i,
-                  "v": v_i, "uv": u_i * v_i, "rel_error": None}
-                 for r_i, u_i, v_i in zip(r.tolist(), u.tolist(), v.tolist())]
+        _extend(table, ["probe"] * r.size, [mass] * r.size, r.tolist(), [0.0] * r.size,
+                u.tolist(), v.tolist(), (u * v).tolist(), [None] * r.size)
         # the horizon itself is rejected input; record that
         try:
             rindler.to_kruskal(2 * mass, 0.0, mass)
             status = "unexpectedly-accepted"
         except ValueError:
             status = "rejected"
-        rows.append({"status": status, "mass": mass, "r": 2 * mass, "t": 0.0,
-                     "u": None, "v": None, "uv": None, "rel_error": None})
-    return rows
+        _extend(table, [status], [mass], [2 * mass], [0.0], [None], [None], [None], [None])
+    return table
 
 
-def _check_kruskal(rows, params):
+def _check_kruskal(table, params):
     # `points` >= 1 leaves at least one round trip; the masses are distinct
-    ok_rows = [r for r in rows if r["status"] == "ok"]
-    probes = [r for r in rows if r["status"] == "probe"]
-    rejected = [r for r in rows if r["status"] == "rejected"]
+    status = table["status"]
     uv_by_mass = {}
-    for r in probes:
-        uv_by_mass.setdefault(r["mass"], []).append(r["uv"])
+    for s, mass, uv in zip(status, table["mass"], table["uv"]):
+        if s == "probe":
+            uv_by_mass.setdefault(mass, []).append(uv)
     vanishing = all(
         all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] < 1e-6 * seq[0]
         for seq in uv_by_mass.values())
-    return {"round_trip_within_1e10": max(r["rel_error"] for r in ok_rows) <= 1e-10,
+    round_trip = max(e for s, e in zip(status, table["rel_error"]) if s == "ok")
+    return {"round_trip_within_1e10": round_trip <= 1e-10,
             "uv_vanishes_at_horizon": vanishing,
-            "horizon_input_rejected": len(rejected) == len(uv_by_mass)}
+            "horizon_input_rejected": status.count("rejected") == len(uv_by_mass)}
 
 
 EXPERIMENTS = {

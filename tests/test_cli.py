@@ -1,12 +1,15 @@
 import ast
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entlab import cli, experiments
@@ -259,11 +262,18 @@ def test_empty_spectrum_writes_empty_report_and_fails_check(tmp_path, fmt):
 
 
 def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
-    def broken_dump(obj, fh, **kwargs):
-        fh.write('{"experiment": ')
-        raise OSError("disk full")
+    def full_disk(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(cli.json, "dump", broken_dump)
+        def partial_write(text):
+            write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        fh.write = partial_write
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
     code = run_main("--experiment", "kruskal", "--out", tmp_path / "kr.json",
                     "--format", "json")
     assert code == 3
@@ -306,6 +316,69 @@ def test_out_of_memory_is_a_clean_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: not enough memory: Unable to allocate")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _report(table, fmt):
+    config = cli.ExperimentConfig(experiment="kruskal", fmt=fmt)
+    return cli.RunReport(config=config, table=table, checks={"ok": True}, passed=True,
+                         wall_clock_s=0.0)
+
+
+WRITER_TABLES = {
+    "cells": {
+        "note": [None, "", None],
+        "flag": [True, False, True],
+        "count": [0, -7, 2 ** 70],
+        "status": ["ok", "a,b", 'say "hi"'],
+        "value": [-0.0, 0.1, 1e300],
+        "special": [float("nan"), float("inf"), float("-inf")],
+        "mixed": [None, 2.5, float("nan")],
+        "np_float": [np.float64(0.1), np.float64(-0.0), np.float64("-inf")],
+        "np_int": [np.int64(3), np.int64(-1), np.int64(2 ** 62)],
+    },
+    "empty": {"x": [], "wave": []},
+}
+
+
+@pytest.mark.parametrize("name", WRITER_TABLES)
+def test_writer_matches_csv_writer_and_json_dump(tmp_path, name):
+    table = WRITER_TABLES[name]
+    rows = list(zip(*table.values()))
+
+    expected_csv = io.StringIO()
+    if rows:
+        writer = csv.writer(expected_csv, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows(rows)
+    cli._write_report(_report(table, "csv"), tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == expected_csv.getvalue().encode()
+
+    # json.dump takes no numpy scalars: give it the Python numbers they hold
+    report = _report(table, "json")
+    payload = report.file_payload()
+    payload["rows"] = [{key: cell.item() if isinstance(cell, np.generic) else cell
+                        for key, cell in zip(table, row)} for row in rows]
+    expected_json = json.dumps(payload, indent=2) + "\n"
+    cli._write_report(report, tmp_path / "t.json")
+    assert (tmp_path / "t.json").read_bytes() == expected_json.encode()
+
+
+QUICK_PARAMS = {
+    "symmetry": {"trials": 5}, "growth": {"trials": 5},
+    "truncation": {"states": 2, "random_projections": 5}, "oracle": {"fock_cutoff": 8},
+    "dmrg": {"target_length": 4, "local_dim": 4, "kept_states": 8},
+    "modes": {"samples": 50}, "spectrum": {"ell_max": 5.0},
+    "geom-entropy": {"ell_max": 5.0, "epsilons": "0.2,0.1"}, "kruskal": {"points": 10},
+}
+
+
+@pytest.mark.parametrize("name", sorted(experiments.EXPERIMENTS))
+def test_runner_returns_columns_of_one_length(name):
+    params = cli.ExperimentConfig(experiment=name, params=QUICK_PARAMS[name]).params
+    table = experiments.EXPERIMENTS[name].run(params, np.random.default_rng(0))
+    assert all(type(column) is list for column in table.values())
+    assert len({len(column) for column in table.values()}) == 1
+    assert len(next(iter(table.values()))) > 0
 
 
 LOWER_BOUNDS = [
@@ -461,16 +534,32 @@ def test_compare_reports_prints_float_differences(tmp_path, capsys):
     assert len(out) == 2  # `kept` and `note` are not float columns
 
 
-@pytest.mark.parametrize("change", ["missing", "rows", "cell", "verdict"])
+def test_compare_reports_compares_csv_bytes(tmp_path, capsys):
+    compare = _load_script("compare_reports")
+    rows = [{"kept": 4, "energy": 1.0}]
+    for side, energy in (("a", "1.0"), ("b", "1.0000000000000002")):
+        _write_reports(tmp_path / side, rows)
+        (tmp_path / side / "dmrg.csv").write_text(f"kept,energy\n4,{energy}\n")
+        (tmp_path / side / "modes.csv").write_text("x,wave\n1.0,2.0\n")
+    # a CSV that differs only prints so: its JSON twin carries the comparison
+    assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dmrg.csv: differs", "dmrg.json: byte-identical", "modes.csv: byte-identical"]
+
+
+@pytest.mark.parametrize("change", ["missing", "missing-csv", "rows", "cell", "verdict"])
 def test_compare_reports_fails_on_structural_change(tmp_path, capsys, change):
     compare = _load_script("compare_reports")
     rows = [{"kept": 4, "energy": 1.0}, {"kept": 8, "energy": 2.0}]
     _write_reports(tmp_path / "a", rows)
     changed = {"missing": dict(rows=rows, name="other.json"),
+               "missing-csv": dict(rows=rows),
                "rows": dict(rows=rows[:1]),
                "cell": dict(rows=[rows[0], dict(rows[1], kept=9)]),
                "verdict": dict(rows=rows, checks={"ok": False})}[change]
     _write_reports(tmp_path / "b", **changed)
+    if change == "missing-csv":
+        (tmp_path / "a" / "dmrg.csv").write_text("kept,energy\n4,1.0\n8,2.0\n")
     assert compare.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert "FAIL " in capsys.readouterr().out
 

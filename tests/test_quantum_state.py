@@ -332,6 +332,11 @@ def test_kept_projection_beats_random_projections():
 
 # --- the truncation runner --------------------------------------------------------
 
+def _columns(rows):
+    """The table a runner returns for these row dicts."""
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
 def _truncation_one_projection_at_a_time(params, rng):
     """The truncation runner as a loop with one QR and one distance per
     random projection: the reference for the batched runner."""
@@ -360,16 +365,15 @@ def _truncation_one_projection_at_a_time(params, rng):
 def test_batched_truncation_matches_one_projection_at_a_time(seed, projections):
     params = {"states": 4, "dim": 6, "keep": 3, "random_projections": projections}
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = _truncation_one_projection_at_a_time(params, rng_ref)
-    rows = experiments.EXPERIMENTS["truncation"].run(params, rng)
+    expected = _columns(_truncation_one_projection_at_a_time(params, rng_ref))
+    table = experiments.EXPERIMENTS["truncation"].run(params, rng)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert len(rows) == len(expected)
-    for row, ref in zip(rows, expected):
-        assert row.keys() == ref.keys()
-        for key in ("state", "keep_distance", "schmidt_tail"):
-            assert row[key] == ref[key]
-        best = ref["best_random_distance"]
-        assert abs(row["best_random_distance"] - best) <= 1e-15 * best
+    assert list(table) == list(expected)
+    for key in ("state", "keep_distance", "schmidt_tail"):
+        assert table[key] == expected[key]
+    assert len(table["best_random_distance"]) == params["states"]
+    for value, best in zip(table["best_random_distance"], expected["best_random_distance"]):
+        assert abs(value - best) <= 1e-15 * best
 
 
 def test_truncation_orthonormalises_each_states_projections_at_once(qr_calls):
@@ -425,17 +429,17 @@ def _growth_one_trial_at_a_time(params, rng):
 ])
 def test_stacked_runner_matches_one_trial_at_a_time(name, params, reference):
     rng_ref, rng = np.random.default_rng(21), np.random.default_rng(21)
-    expected = reference(params, rng_ref)
-    rows = experiments.EXPERIMENTS[name].run(params, rng)
+    expected = _columns(reference(params, rng_ref))
+    table = experiments.EXPERIMENTS[name].run(params, rng)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert len(rows) == len(expected)
-    for row, ref in zip(rows, expected):
-        assert row.keys() == ref.keys()
-        for key, value in ref.items():
-            if isinstance(value, int):
-                assert row[key] == value, key
+    assert list(table) == list(expected)
+    for key, column in expected.items():
+        assert len(table[key]) == params["trials"], key
+        for value, ref in zip(table[key], column):
+            if isinstance(ref, int):
+                assert value == ref, key
             else:
-                assert type(row[key]) is float and abs(row[key] - value) <= 1e-12, key
+                assert type(value) is float and abs(value - ref) <= 1e-12, key
 
 
 def test_growth_draws_unitaries_in_entry_bounded_batches(qr_calls):
@@ -465,34 +469,38 @@ def test_padded_symmetry_batches_match_one_trial_at_a_time():
     # boundaries, and most trials fill only part of their 12 x 12 slot
     params = {"trials": 250, "max_dim": 12}
     rng_ref, rng = np.random.default_rng(25), np.random.default_rng(25)
-    rows = experiments.EXPERIMENTS["symmetry"].run(params, rng)
-    for trial, row in enumerate(rows):
+    table = experiments.EXPERIMENTS["symmetry"].run(params, rng)
+    for trial, d_left, d_right, s_left, s_right in zip(
+            *(table[key] for key in ("trial", "d_left", "d_right", "s_left", "s_right"))):
         d_l = int(rng_ref.integers(2, params["max_dim"] + 1))
         d_r = int(rng_ref.integers(2, params["max_dim"] + 1))
         state = qs.random_state(d_l, d_r, rng_ref)
-        assert (row["trial"], row["d_left"], row["d_right"]) == (trial, d_l, d_r)
-        assert abs(row["s_left"] - qs.von_neumann_entropy(qs.reduced_density_left(state))) <= 1e-13
-        assert abs(row["s_right"] - qs.von_neumann_entropy(qs.reduced_density_right(state))) <= 1e-13
-    assert len(rows) == params["trials"]
+        assert (d_left, d_right) == (d_l, d_r)
+        assert abs(s_left - qs.von_neumann_entropy(qs.reduced_density_left(state))) <= 1e-13
+        assert abs(s_right - qs.von_neumann_entropy(qs.reduced_density_right(state))) <= 1e-13
+    assert table["trial"] == list(range(params["trials"]))
+    assert all(len(column) == params["trials"] for column in table.values())
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_growth_of_one_dimensional_systems_writes_positive_zeros():
-    rows = experiments.EXPERIMENTS["growth"].run({"trials": 3, "dim_left": 1, "dim_right": 1},
-                                                 np.random.default_rng(24))
-    for row in rows:
-        for key in ("s_in", "s_out", "slack"):
-            assert row[key] == 0.0 and math.copysign(1.0, row[key]) == 1.0
+    table = experiments.EXPERIMENTS["growth"].run({"trials": 3, "dim_left": 1, "dim_right": 1},
+                                                  np.random.default_rng(24))
+    for key in ("s_in", "s_out", "slack"):
+        assert len(table[key]) == 3
+        for value in table[key]:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_growth_batch_memory_is_bounded_by_entries_not_trials():
-    # one trial at 24 x 24 holds 576 x 576 complex unitaries (5.3 MB each); a
-    # batch bounded by a trial count would hold 40 of them at once
+    # one trial at 12 x 12 holds 144 x 144 complex unitaries (0.33 MB each),
+    # more than the 2^14-entry budget, so a batch holds one trial; a batch
+    # bounded by a trial count would hold 40 of them at once
     def peak(trials):
         tracemalloc.start()
         try:
             experiments.EXPERIMENTS["growth"].run(
-                {"trials": trials, "dim_left": 24, "dim_right": 24}, np.random.default_rng(25))
+                {"trials": trials, "dim_left": 12, "dim_right": 12}, np.random.default_rng(25))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
