@@ -5,6 +5,9 @@ A run starts from the empty block.  Each step adjoins one site at the
 block's origin-facing edge, solves the enlarged block and its mirror image as
 a superblock, and truncates the block to the dominant eigenstates of its
 reduced density matrix.  No free sites are inserted between block and mirror.
+Each solve after the first starts from McCulloch's prediction of its ground
+state from the two steps before it (arXiv:0804.2509; White, PRL 77, 3633,
+1996).
 
 H = sum pi^2/2 + phi^T V phi/2 is even under phi -> -phi, so every block
 basis state carries a Z2 parity, the block Hamiltonian conserves it and the
@@ -33,6 +36,8 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-12
 _SUPERBLOCK_LIMIT = 1 << 20
+_SQRT2 = np.sqrt(2.0)
+_PREDICTION_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,10 @@ class DmrgBlock:
     real.  parity labels each basis state +1 or -1 under phi -> -phi; a
     truncated block lists its even states first.  ground_state, in a
     truncated block, is the superblock ground state it was cut from, as a
-    (block x mirror) matrix in the kept basis.
+    (block x mirror) matrix in the kept basis; run's empty block has [[1]].
+    prediction, in a truncated block cut from a block with a ground state,
+    is a factor F of the next step's predicted ground state F F^T, over
+    the enlarged basis (new site) x (this block); see _prediction.
     """
 
     length: int
@@ -90,6 +98,7 @@ class DmrgBlock:
     edge_phi: np.ndarray
     parity: np.ndarray
     ground_state: np.ndarray | None = field(default=None, compare=False)
+    prediction: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def basis_size(self) -> int:
@@ -192,13 +201,20 @@ class Superblock:
         split = sizes[0] * (sizes[0] + 1) // 2
 
         def blocks(vec: np.ndarray) -> list[np.ndarray]:
-            return [(part / scale)[scatter].reshape(size, size)
-                    for part, (_, scatter, scale), size
-                    in zip(np.split(vec, [split]), triangles, sizes)]
+            out = []
+            for part, (_, scatter), size in zip(np.split(vec, [split]), triangles, sizes):
+                part = part.copy()
+                part[size:] /= _SQRT2
+                out.append(part[scatter].reshape(size, size))
+            return out
 
         def pack_blocks(ms: list[np.ndarray]) -> np.ndarray:
-            return np.concatenate([m.ravel()[gather] * scale
-                                   for m, (gather, _, scale) in zip(ms, triangles)])
+            parts = []
+            for m, (gather, _) in zip(ms, triangles):
+                part = m.ravel()[gather]
+                part[m.shape[0]:] *= _SQRT2
+                parts.append(part)
+            return np.concatenate(parts)
 
         def pack(m: np.ndarray) -> np.ndarray:
             return pack_blocks([m[np.ix_(i, i)] for i in index])
@@ -230,20 +246,18 @@ class Superblock:
         return h
 
 
-def _triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packing of a symmetric n x n matrix: the flat index of its diagonal,
-    then of its strict upper triangle row by row; the packed index of each
-    entry, the lower triangle mirrored; and the scale, sqrt(2) off the
-    diagonal, that makes the packing an isometry."""
+    then of its strict upper triangle row by row; and the packed index of
+    each entry, the lower triangle mirrored.  The packed strict triangle is
+    scaled by sqrt(2), which makes the packing an isometry."""
     row, col = np.triu_indices(n, 1)
     diagonal = np.arange(n)
     gather = np.concatenate([diagonal * (n + 1), row * n + col])
     scatter = np.empty((n, n), dtype=np.intp)
     scatter[diagonal, diagonal] = diagonal
     scatter[row, col] = scatter[col, row] = np.arange(n, gather.size)
-    scale = np.ones(gather.size)
-    scale[n:] = np.sqrt(2.0)
-    return gather, scatter.ravel(), scale
+    return gather, scatter.ravel()
 
 
 def _edge_field(edge_phi: np.ndarray, n: int) -> np.ndarray:
@@ -311,12 +325,39 @@ def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
     return np.hstack(vectors)[:, chosen], labels[chosen], w, kept
 
 
+def _prediction(rotated: np.ndarray, previous: np.ndarray | None) -> np.ndarray | None:
+    """McCulloch's prediction of the next step's superblock ground state
+    (arXiv:0804.2509), as a factor F of it, F F^T.
+
+    rotated = U^T M is the ground state just solved with its block side in
+    the kept basis U, and previous the ground state Lambda of the step
+    before, in the basis of the block this step enlarged.  The next step's
+    new block site is the mirror's edge site of M, and the mirror block
+    behind that site is carried over to the other side through Lambda^-1,
+    so the prediction is T Lambda^-1 T^T, T = U^T M with rows (site,
+    kept).  F = T V |w|^-1/2 from Lambda = V diag(w) V^T, dropping the w at
+    or below _PREDICTION_CUTOFF times the largest |w|.  None without a
+    previous ground state.
+    """
+    if previous is None:
+        return None
+    kept, before = rotated.shape[0], previous.shape[0]
+    t = rotated.reshape(kept, -1, before).transpose(1, 0, 2).reshape(-1, before)
+    w, v = np.linalg.eigh(previous)
+    w = np.abs(w)
+    live = w > _PREDICTION_CUTOFF * w.max()
+    return t @ (v[:, live] / np.sqrt(w[live]))
+
+
 def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
     """One growth step: adjoin a site to the block, solve the superblock of
     the enlarged block and its mirror, and truncate the enlarged block to the
     kept_states dominant density-matrix eigenstates.
 
-    Returns the truncated block and the iterate record for the superblock
+    The solve starts from the block's prediction when it has one, and from
+    the solver's default vector otherwise.  Returns the truncated block,
+    which carries the ground state and, when the block had one, the
+    prediction for the next step, and the iterate record for the superblock
     just solved (chain length 2 x enlarged block length).  Raises
     EigensolverError when the ground state misses the residual contract on
     the full superblock.
@@ -329,9 +370,9 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     pack, unpack, apply = superblock.sector(enlarged.parity)
     sizes = [np.count_nonzero(enlarged.parity == sign) for sign in (1, -1)]
     warm = None
-    if block.ground_state is not None:
-        # the new site in its local ground state, the rest as last solved
-        warm = pack(np.pad(block.ground_state, (0, n - block.basis_size)))
+    if block.prediction is not None:
+        # the n x n guess F F^T lives only until it is packed
+        warm = pack(block.prediction @ block.prediction.T)
         warm /= np.linalg.norm(warm)
     energy, psi = numerics.smallest_eigenpair(
         apply, sum(size * (size + 1) // 2 for size in sizes),
@@ -347,11 +388,13 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
 
     basis, parity, w, kept = _truncate(matrix, enlarged.parity, config.kept_states)
     kept_ham = basis.T @ enlarged.hamiltonian @ basis
+    rotated = basis.T @ matrix
     truncated = DmrgBlock(length=enlarged.length,
                           hamiltonian=0.5 * (kept_ham + kept_ham.T),
                           edge_phi=basis.T @ _edge_field(enlarged.edge_phi, n) @ basis,
                           parity=parity,
-                          ground_state=basis.T @ matrix @ basis)
+                          ground_state=rotated @ basis,
+                          prediction=_prediction(rotated, block.ground_state))
     iterate = DmrgIterate(chain_length=2 * enlarged.length,
                           ground_energy=float(energy),
                           half_chain_entropy=entropy_from_probs(w),
@@ -365,7 +408,8 @@ def run(config: DmrgConfig) -> list[DmrgIterate]:
     target_length, recording one iterate per step; each step adds two
     sites."""
     block = DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)),
-                      edge_phi=np.zeros((1, 1)), parity=np.ones(1, dtype=int))
+                      edge_phi=np.zeros((1, 1)), parity=np.ones(1, dtype=int),
+                      ground_state=np.ones((1, 1)))
     iterates: list[DmrgIterate] = []
     for _ in range(config.target_length // 2):
         block, iterate = dmrg_step(block, config)

@@ -5,7 +5,9 @@ pass/fail verdicts from those rows.
 A runner takes the validated parameters and a numpy Generator and returns a
 table: a dict of columns, each a list of the same length, in report order.
 A check takes the table, never of zero length, and the parameters and
-returns a dict of named booleans.
+returns a dict of named booleans.  It reduces a column with np.max or
+np.min, which return a NaN found anywhere in it, so that the check fails;
+Python's max and min skip a NaN that does not come first.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _run_symmetry(params, rng):
 
 
 def _check_symmetry(table, params):
-    return {"entropies_equal": max(table["abs_diff"]) <= 1e-9}
+    return {"entropies_equal": float(np.max(table["abs_diff"])) <= 1e-9}
 
 
 def _run_growth(params, rng):
@@ -82,7 +84,7 @@ def _run_growth(params, rng):
 
 
 def _check_growth(table, params):
-    return {"entropy_never_decreases": min(table["slack"]) >= -1e-9}
+    return {"entropy_never_decreases": float(np.min(table["slack"])) >= -1e-9}
 
 
 _BATCH_ENTRIES = 2 ** 14  # complex entries per stacked array of trials or projections
@@ -102,7 +104,8 @@ def _best_random_distance(coeff, keep, count, rng):
         residual = q @ (q.conj().swapaxes(-1, -2) @ coeff)
         residual -= coeff
         # a complex residual viewed as floats: |z|^2 = re^2 + im^2
-        best = min(best, float(np.square(residual.view(float)).sum(axis=(-2, -1)).min()))
+        # np.minimum, unlike min, keeps a NaN
+        best = float(np.minimum(best, np.square(residual.view(float)).sum(axis=(-2, -1)).min()))
     return best
 
 
@@ -124,7 +127,7 @@ def _run_truncation(params, rng):
 
 def _check_truncation(table, params):
     keep = table["keep_distance"]
-    tail_err = max(abs(k - t) for k, t in zip(keep, table["schmidt_tail"]))
+    tail_err = float(np.max(np.abs(np.subtract(keep, table["schmidt_tail"]))))
     optimal = all(k <= b + 1e-12 for k, b in zip(keep, table["best_random_distance"]))
     return {"distance_equals_schmidt_tail": tail_err <= 1e-10,
             "kept_projection_is_optimal": optimal}
@@ -212,7 +215,7 @@ def _run_spectrum(params, rng):
 
 def _check_spectrum(table, params):
     ells = table["ell"]
-    return {"residuals_small": max(table["residual"]) <= 1e-8,
+    return {"residuals_small": float(np.max(table["residual"])) <= 1e-8,
             "ascending": all(b > a for a, b in zip(ells, ells[1:]))}
 
 
@@ -280,7 +283,7 @@ def _check_kruskal(table, params):
     vanishing = all(
         all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] < 1e-6 * seq[0]
         for seq in uv_by_mass.values())
-    round_trip = max(e for s, e in zip(status, table["rel_error"]) if s == "ok")
+    round_trip = float(np.max([e for s, e in zip(status, table["rel_error"]) if s == "ok"]))
     return {"round_trip_within_1e10": round_trip <= 1e-10,
             "uv_vanishes_at_horizon": vanishing,
             "horizon_input_rejected": status.count("rejected") == len(uv_by_mass)}

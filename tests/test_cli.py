@@ -381,6 +381,32 @@ def test_runner_returns_columns_of_one_length(name):
     assert len(next(iter(table.values()))) > 0
 
 
+NAN_CHECKS = [
+    ("symmetry", "abs_diff", "entropies_equal"),
+    ("growth", "slack", "entropy_never_decreases"),
+    ("truncation", "keep_distance", "distance_equals_schmidt_tail"),
+    ("spectrum", "residual", "residuals_small"),
+    ("kruskal", "rel_error", "round_trip_within_1e10"),
+]
+
+
+@pytest.mark.parametrize("name, column, check", NAN_CHECKS, ids=[c for _, _, c in NAN_CHECKS])
+def test_nan_in_the_second_row_fails_the_check(name, column, check):
+    # Python's max and min skip a NaN unless it comes first
+    params = cli.ExperimentConfig(experiment=name, params=QUICK_PARAMS[name]).params
+    experiment = experiments.EXPERIMENTS[name]
+    table = experiment.run(params, np.random.default_rng(0))
+    assert experiment.check(table, params)[check] is True
+    table[column][1] = float("nan")
+    assert experiment.check(table, params)[check] is False
+
+
+def test_best_random_distance_keeps_a_nan():
+    coeff = np.full((2, 2), np.nan, dtype=complex)
+    distance = experiments._best_random_distance(coeff, 1, 3, np.random.default_rng(0))
+    assert np.isnan(distance)
+
+
 LOWER_BOUNDS = [
     ("symmetry", "trials", 1), ("growth", "trials", 1), ("truncation", "states", 1),
     ("modes", "samples", 1), ("kruskal", "points", 1),

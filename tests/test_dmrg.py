@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -338,6 +339,57 @@ def test_variational_bound_and_improvement_with_kept_states():
         assert energy >= dense_energy - 1e-9
     assert energies[3] <= energies[2] + 1e-12
     assert energies[8] <= energies[3] + 1e-12
+
+
+# --- warm start -----------------------------------------------------------------------
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(operator applications, start vector, returned vector) of every
+    ground-state solve made while the test runs."""
+    calls = []
+    solve = numerics.smallest_eigenpair
+
+    def recording(apply, dim, tol=1e-10, v0=None):
+        count = 0
+
+        def counted(vec):
+            nonlocal count
+            count += 1
+            return apply(vec)
+
+        energy, psi = solve(counted, dim, tol=tol, v0=v0)
+        calls.append((count, v0, psi))
+        return energy, psi
+
+    monkeypatch.setattr(numerics, "smallest_eigenpair", recording)
+    return calls
+
+
+def test_predicted_start_needs_fewer_applications(solves):
+    # the new site in its local ground state took 560 applications
+    dmrg.run(dmrg.DmrgConfig(local_dim=8, kept_states=16, target_length=20, mass=1.0))
+    assert len(solves) == 10
+    assert sum(count for count, _, _ in solves) <= 400
+    assert solves[0][1] is None
+    for _, v0, psi in solves[4:]:
+        overlap = abs(v0 @ psi) / (np.linalg.norm(v0) * np.linalg.norm(psi))
+        assert 1.0 - overlap <= 1e-12
+
+
+def test_zero_eigenvalue_of_the_last_ground_state_gives_a_finite_start(solves):
+    config = dmrg.DmrgConfig(local_dim=4, kept_states=6, mass=1.0, target_length=6)
+    block, _ = dmrg.dmrg_step(empty_block(), config)
+    k = block.basis_size
+    block = dataclasses.replace(block, ground_state=np.diag(np.linspace(1.0, 0.0, k)))
+    assert np.linalg.eigvalsh(block.ground_state)[0] == 0.0
+    block, _ = dmrg.dmrg_step(block, config)
+    assert np.isfinite(block.prediction).all()
+    _, iterate = dmrg.dmrg_step(block, config)
+    v0 = solves[-1][1]
+    assert np.isfinite(v0).all() and np.any(v0)
+    energy, _ = oracle(6, 1.0)
+    assert abs(iterate.ground_energy - energy) <= 0.01 * energy
 
 
 # --- full runs ------------------------------------------------------------------------
