@@ -154,7 +154,8 @@ class Superblock:
 
     def sector(self, parity: np.ndarray):
         """The operator on the ground state's sector, in orthonormal packed
-        coordinates: the functions (pack, unpack, apply).
+        coordinates: the functions (pack, unpack, apply) and apply's
+        diagonal.
 
         parity labels the block basis +-1 and is the Kronecker product of
         labels on edge_phi's factor and on the rest of the basis; the block
@@ -166,7 +167,9 @@ class Superblock:
         symmetric M, and apply = pack . matvec . unpack is self-adjoint.  In
         sector s the matvec is X + X^T with X = H_s M_ss - Phi M_tt Phi^T / 2,
         t the other sector and Phi the edge field from t to s: two (n/2)^3
-        products of the block Hamiltonian when the sectors are equal.
+        products of the block Hamiltonian when the sectors are equal.  The
+        diagonal is h_ii + h_jj at packed entry (i, j); the edge term has
+        none, since it maps each sector onto the other.
         """
         n = self.block_dim
         k = self.edge_phi.shape[0]
@@ -235,7 +238,10 @@ class Superblock:
                 out.append(x + x.T)
             return pack_blocks(out)
 
-        return pack, unpack, apply
+        h = np.diag(self.hamiltonian)
+        diagonal = np.concatenate([np.add.outer(h[i], h[i]).ravel()[gather]
+                                   for i, (gather, _) in zip(index, triangles)])
+        return pack, unpack, apply, diagonal
 
     def dense(self) -> np.ndarray:
         n = self.block_dim
@@ -355,28 +361,26 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     kept_states dominant density-matrix eigenstates.
 
     The solve starts from the block's prediction when it has one, and from
-    the solver's default vector otherwise.  Returns the truncated block,
-    which carries the ground state and, when the block had one, the
-    prediction for the next step, and the iterate record for the superblock
-    just solved (chain length 2 x enlarged block length).  Raises
-    EigensolverError when the ground state misses the residual contract on
-    the full superblock.
+    the unit vector at the sector's smallest diagonal entry otherwise.
+    Returns the truncated block, which carries the ground state and, when
+    the block had one, the prediction for the next step, and the iterate
+    record for the superblock just solved (chain length 2 x enlarged block
+    length).  Raises EigensolverError when the ground state misses the
+    residual contract on the full superblock.
     """
     enlarged = _enlarge(block, config)
     n = enlarged.basis_size
     superblock = Superblock(enlarged.hamiltonian, enlarged.edge_phi)
     # the superblock is reflection symmetric and conserves parity: its ground
     # state M = M^T pairs equal parities only, so solve on that sector alone
-    pack, unpack, apply = superblock.sector(enlarged.parity)
-    sizes = [np.count_nonzero(enlarged.parity == sign) for sign in (1, -1)]
+    pack, unpack, apply, diagonal = superblock.sector(enlarged.parity)
     warm = None
     if block.prediction is not None:
         # the n x n guess F F^T lives only until it is packed
         warm = pack(block.prediction @ block.prediction.T)
         warm /= np.linalg.norm(warm)
     energy, psi = numerics.smallest_eigenpair(
-        apply, sum(size * (size + 1) // 2 for size in sizes),
-        tol=config.gs_tolerance, v0=warm)
+        apply, diagonal.size, tol=config.gs_tolerance, v0=warm, diagonal=diagonal)
 
     matrix = unpack(psi)
     residual = float(np.linalg.norm(superblock.matvec(matrix.ravel())

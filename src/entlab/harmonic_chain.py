@@ -8,6 +8,7 @@ Lattice spacing is 1; everything is in lattice units.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Iterable
@@ -210,5 +211,7 @@ def fock_ground_state(potential: np.ndarray, d: int) -> tuple[BipartiteState, fl
             out += coupling * on_site(ops[i][1], i, on_site(ops[j][1], j, psi))
         return out.ravel()
 
-    energy, vector = numerics.smallest_eigenpair(apply, size)
+    # phi_i phi_j has no diagonal in the product basis: only the h_i add to it
+    diagonal = functools.reduce(np.add.outer, [np.diag(h) for h, _ in ops]).ravel()
+    energy, vector = numerics.smallest_eigenpair(apply, size, diagonal=diagonal)
     return BipartiteState(vector.reshape(d ** (n // 2), d ** (n - n // 2))), energy

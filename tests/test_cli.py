@@ -281,14 +281,17 @@ def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
 
 
 def test_eigensolver_failure_is_numerical_failure_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "dmrg.cfg"
-    cfg.write_text("experiment = dmrg\ntarget_length = 2\nlocal_dim = 5\n"
-                   "gs_tolerance = 1e-18\n")
-    out = tmp_path / "dmrg.csv"
-    assert run_main("--config", cfg, "--out", out) == 4
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "numerical failure" in err
-    assert not out.exists()
+    # the dense solve of a 9-dimensional sector, then Davidson and ARPACK on
+    # the default chain
+    for settings in ("target_length = 2\nlocal_dim = 5\ngs_tolerance = 1e-18\n",
+                     "gs_tolerance = 1e-17\n"):
+        cfg = tmp_path / "dmrg.cfg"
+        cfg.write_text("experiment = dmrg\n" + settings)
+        out = tmp_path / "dmrg.csv"
+        assert run_main("--config", cfg, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "numerical failure" in err
+        assert not out.exists()
 
 
 def test_bessel_failure_is_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -123,7 +123,7 @@ def sector_matrix(parity, seed):
 
 def test_sector_packing_is_an_isometry_of_symmetric_matrices():
     superblock, parity = truncated_superblock()
-    pack, unpack, _ = superblock.sector(parity)
+    pack, unpack, _, _ = superblock.sector(parity)
     m = sector_matrix(parity, 2)
     packed = pack(m)
     assert packed.shape == (2 * 21,)  # two triangles of 6 x 6
@@ -138,7 +138,7 @@ def test_sector_packing_is_an_isometry_of_symmetric_matrices():
 
 def test_sector_apply_is_the_full_matvec_on_symmetric_matrices():
     superblock, parity = truncated_superblock()
-    pack, unpack, apply = superblock.sector(parity)
+    pack, unpack, apply, _ = superblock.sector(parity)
     m = unpack(pack(sector_matrix(parity, 3)))
     full = superblock.matvec(m.ravel()).reshape(12, 12)
     assert np.linalg.norm(unpack(apply(pack(m))) - full) <= 1e-12 * np.linalg.norm(full)
@@ -146,9 +146,11 @@ def test_sector_apply_is_the_full_matvec_on_symmetric_matrices():
 
 def test_sector_apply_is_self_adjoint():
     superblock, parity = truncated_superblock()
-    _, _, apply = superblock.sector(parity)
+    _, _, apply, diagonal = superblock.sector(parity)
     dense = np.stack([apply(col) for col in np.eye(42)], axis=1)
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+    # and the diagonal it returns is the operator's
+    assert np.abs(np.diag(dense) - diagonal).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_sector_rejects_labels_that_are_not_a_product():
@@ -292,9 +294,19 @@ def test_density_matrix_spectrum_properties_at_step():
     assert abs(w.sum() - 1.0) <= 1e-10
 
 
-def test_step_decomposes_its_density_matrix_once(decompositions):
+def test_step_decomposes_its_density_matrix_once(decompositions, monkeypatch):
     config = dmrg.DmrgConfig(local_dim=8)
-    # packed superblock dim 2 x 10: Lanczos; one eigh per sector of M
+    solve = numerics.smallest_eigenpair
+
+    def solve_uncounted(*args, **kwargs):
+        # Davidson diagonalises its projected matrix at each application
+        before = len(decompositions)
+        result = solve(*args, **kwargs)
+        del decompositions[before:]
+        return result
+
+    monkeypatch.setattr(numerics, "smallest_eigenpair", solve_uncounted)
+    # packed superblock dim 2 x 10: Davidson; one eigh per sector of M
     dmrg.dmrg_step(empty_block(), config)
     assert decompositions == ["eigh", "eigh"]
 
@@ -350,7 +362,7 @@ def solves(monkeypatch):
     calls = []
     solve = numerics.smallest_eigenpair
 
-    def recording(apply, dim, tol=1e-10, v0=None):
+    def recording(apply, dim, tol=1e-10, v0=None, diagonal=None):
         count = 0
 
         def counted(vec):
@@ -358,7 +370,7 @@ def solves(monkeypatch):
             count += 1
             return apply(vec)
 
-        energy, psi = solve(counted, dim, tol=tol, v0=v0)
+        energy, psi = solve(counted, dim, tol=tol, v0=v0, diagonal=diagonal)
         calls.append((count, v0, psi))
         return energy, psi
 
@@ -375,6 +387,39 @@ def test_predicted_start_needs_fewer_applications(solves):
     for _, v0, psi in solves[4:]:
         overlap = abs(v0 @ psi) / (np.linalg.norm(v0) * np.linalg.norm(psi))
         assert 1.0 - overlap <= 1e-12
+
+
+def test_davidson_stops_on_the_residual_contract_from_the_predicted_start(solves):
+    # ARPACK took 350 applications here, and 23 in each solve from step 5 on:
+    # 20 Lanczos steps before its first convergence test
+    dmrg.run(dmrg.DmrgConfig())
+    assert sum(count for count, _, _ in solves) <= 200
+    assert all(count <= 12 for count, _, _ in solves[4:])
+
+
+def test_nearly_diagonal_sector_converges_without_the_fallback(solves, monkeypatch):
+    # at mass 10 the ground state of step 4 is 0.99999 of one unit vector,
+    # where diagonal - E = 3.6e-4: r / (diagonal - E) is then nearly that
+    # vector again, and without Olsen's projection the solve took 182
+    # applications and the ARPACK fallback
+    fallbacks = []
+    eigsh = numerics.eigsh
+
+    def counted_eigsh(*args, **kwargs):
+        fallbacks.append(kwargs["tol"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eigsh", counted_eigsh)
+    dmrg.run(dmrg.DmrgConfig(mass=10.0, local_dim=2, kept_states=8, gs_tolerance=1e-13))
+    assert fallbacks == []
+    assert max(count for count, _, _ in solves) <= 20
+
+
+def test_unreachable_tolerance_fails_within_the_davidson_budget(solves):
+    with pytest.raises(numerics.EigensolverError) as err:
+        dmrg.run(dmrg.DmrgConfig(gs_tolerance=1e-17))
+    assert err.value.iterations > numerics._DAVIDSON_BUDGET
+    assert len(solves) == 0  # the first solve raised
 
 
 def test_zero_eigenvalue_of_the_last_ground_state_gives_a_finite_start(solves):

@@ -164,6 +164,25 @@ def test_fock_entropy_matches_covariance_oracle():
     assert abs(s_fock[20] - s_cov) <= 1e-4
 
 
+def dense_fock_hamiltonian(v, d):
+    """H in the product Fock basis from Kronecker products, the identity on
+    every site an operator does not act on."""
+    n = v.shape[0]
+    ops = [hc.oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
+
+    def on_sites(factors):
+        out = np.eye(1)
+        for s in range(n):
+            out = np.kron(out, factors.get(s, np.eye(d)))
+        return out
+
+    h = sum(on_sites({i: ops[i][0]}) for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = h + v[i, j] * on_sites({i: ops[i][1], j: ops[j][1]})
+    return h
+
+
 @pytest.mark.parametrize("n, d", [(2, 6), (3, 4)])
 def test_fock_ground_state_is_the_dense_ground_state(n, d):
     # dims 36 and 64: above the eigensolver's dense limit of 16.  The second
@@ -172,22 +191,22 @@ def test_fock_ground_state_is_the_dense_ground_state(n, d):
     chain = hc.build_potential(n, 0.7)
     apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     for v in (chain, chain + np.where(apart > 1, 0.1 * (apart + 1), 0.0)):
-        ops = [hc.oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
-
-        def on_sites(factors):  # kron over the sites, the identity where absent
-            out = np.eye(1)
-            for s in range(n):
-                out = np.kron(out, factors.get(s, np.eye(d)))
-            return out
-
-        h = sum(on_sites({i: ops[i][0]}) for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                h = h + v[i, j] * on_sites({i: ops[i][1], j: ops[j][1]})
-        values, vectors = np.linalg.eigh(h)
+        values, vectors = np.linalg.eigh(dense_fock_hamiltonian(v, d))
         state, energy = hc.fock_ground_state(v, d)
         assert abs(energy - values[0]) <= 1e-12 * abs(values[0])
         assert abs(state.coeff.ravel() @ vectors[:, 0]) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n, d", [(2, 20), (2, 40), (3, 10), (4, 6)])
+def test_fock_ground_state_is_the_lowest_level(n, d):
+    # from a seeded random start, Davidson preconditioned by the Fock
+    # diagonal converged to excited states at (2, 40) for mass 0.1 and at
+    # (4, 6) for mass 2; the start at the smallest diagonal entry does not
+    for mass in (0.1, 1.0, 2.0):
+        v = hc.build_potential(n, mass)
+        lowest = np.linalg.eigvalsh(dense_fock_hamiltonian(v, d))[0]
+        _, energy = hc.fock_ground_state(v, d)
+        assert abs(energy - lowest) <= 1e-10 * lowest
 
 
 def test_fock_rejects_oversized_basis_and_bad_cutoff():
@@ -201,7 +220,7 @@ def test_fock_rejects_oversized_basis_and_bad_cutoff():
 
 def test_fock_ground_state_never_forms_the_dense_hamiltonian():
     # the dense 1600 x 1600 H alone is 19.5 MiB; the site-tensor apply holds
-    # a few 1600-entry vectors and ARPACK's Lanczos basis
+    # a few 1600-entry vectors and Davidson's basis and images, 8 rows each
     tracemalloc.start()
     try:
         hc.fock_ground_state(hc.build_potential(2, 1.0), 40)

@@ -137,26 +137,45 @@ def test_smallest_eigenpair_dense_path_meets_the_residual_contract():
 
 def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
     m = rand_symmetric(60, np.random.default_rng(2))
+    monkeypatch.setattr(numerics, "_DAVIDSON_BUDGET", 3)
     monkeypatch.setattr(numerics, "_MAX_RESTARTS", 1)
     with pytest.raises(numerics.EigensolverError) as err:
         numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-14)
     assert err.value.iterations >= 1
 
 
-def test_smallest_eigenpair_tolerance_is_absolute(monkeypatch):
-    # eigenvalues near +100: a Lanczos tolerance relative to |E| misses the
-    # absolute residual contract here and forces a second attempt
-    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
-    attempts = []
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """The tolerance of every ARPACK call made while the test runs."""
+    calls = []
     eigsh = numerics.eigsh
 
     def counted_eigsh(*args, **kwargs):
-        attempts.append(kwargs["tol"])
+        calls.append(kwargs["tol"])
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(numerics, "eigsh", counted_eigsh)
+    return calls
+
+
+def test_smallest_eigenpair_tolerance_is_absolute(eigsh_calls):
+    # eigenvalues near +100: a stop relative to |E| would miss the absolute
+    # residual contract here; Davidson stops on the contract itself
+    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
     value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-10)
-    assert len(attempts) == 1
+    assert len(eigsh_calls) == 0
+    assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
+    assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["residual", "diagonal"])
+def test_arpack_finishes_what_the_davidson_budget_leaves(monkeypatch, eigsh_calls, diagonal):
+    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
+    monkeypatch.setattr(numerics, "_DAVIDSON_BUDGET", 3)
+    value, vector = numerics.smallest_eigenpair(
+        lambda v: m @ v, 60, tol=1e-10, diagonal=np.diag(m) if diagonal else None)
+    # one call, its tolerance divided by |E| ~ 100
+    assert len(eigsh_calls) == 1 and eigsh_calls[0] < 1e-11
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
     assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
 
