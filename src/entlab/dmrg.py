@@ -380,7 +380,7 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
         warm = pack(block.prediction @ block.prediction.T)
         warm /= np.linalg.norm(warm)
     energy, psi = numerics.smallest_eigenpair(
-        apply, diagonal.size, tol=config.gs_tolerance, v0=warm, diagonal=diagonal)
+        apply, diagonal, tol=config.gs_tolerance, v0=warm)
 
     matrix = unpack(psi)
     residual = float(np.linalg.norm(superblock.matvec(matrix.ravel())

@@ -213,5 +213,5 @@ def fock_ground_state(potential: np.ndarray, d: int) -> tuple[BipartiteState, fl
 
     # phi_i phi_j has no diagonal in the product basis: only the h_i add to it
     diagonal = functools.reduce(np.add.outer, [np.diag(h) for h, _ in ops]).ravel()
-    energy, vector = numerics.smallest_eigenpair(apply, size, diagonal=diagonal)
+    energy, vector = numerics.smallest_eigenpair(apply, diagonal)
     return BipartiteState(vector.reshape(d ** (n // 2), d ** (n - n // 2))), energy

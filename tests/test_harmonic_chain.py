@@ -200,8 +200,8 @@ def test_fock_ground_state_is_the_dense_ground_state(n, d):
 @pytest.mark.parametrize("n, d", [(2, 20), (2, 40), (3, 10), (4, 6)])
 def test_fock_ground_state_is_the_lowest_level(n, d):
     # from a seeded random start, Davidson preconditioned by the Fock
-    # diagonal converged to excited states at (2, 40) for mass 0.1 and at
-    # (4, 6) for mass 2; the start at the smallest diagonal entry does not
+    # diagonal converged to an excited state at (2, 40); the start at the
+    # smallest diagonal entry does not
     for mass in (0.1, 1.0, 2.0):
         v = hc.build_potential(n, mass)
         lowest = np.linalg.eigvalsh(dense_fock_hamiltonian(v, d))[0]

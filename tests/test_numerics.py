@@ -102,14 +102,14 @@ def test_svd_frobenius_identity(rows, cols, seed):
 
 def test_smallest_eigenpair_diagonal():
     m = np.diag([5.0, 1.0, 3.0])
-    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 3)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m))
     assert abs(value - 1.0) <= 1e-12
     assert np.allclose(np.abs(vector), [0.0, 1.0, 0.0], atol=1e-10)
 
 
 def test_smallest_eigenpair_two_level():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 2)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m))
     assert abs(value + 1.0) <= 1e-12
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
     assert min(np.linalg.norm(vector - expected), np.linalg.norm(vector + expected)) <= 1e-10
@@ -118,7 +118,7 @@ def test_smallest_eigenpair_two_level():
 @pytest.mark.parametrize("dim", [17, 64, 128, 512])
 def test_smallest_eigenpair_matches_dense(dim):
     m = rand_symmetric(dim, np.random.default_rng(dim))
-    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, dim, tol=1e-9)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-9)
     dense = numerics.sym_eig(m)[0][0]
     assert abs(value - dense) <= 1e-8
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-9
@@ -126,12 +126,12 @@ def test_smallest_eigenpair_matches_dense(dim):
 
 def test_smallest_eigenpair_dense_path_meets_the_residual_contract():
     m = rand_symmetric(12, np.random.default_rng(3))
-    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 12, tol=1e-10)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-10)
     assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-12
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
     # a dense eigenvector's residual is ~1e-15, never 1e-18
     with pytest.raises(numerics.EigensolverError) as err:
-        numerics.smallest_eigenpair(lambda v: m @ v, 12, tol=1e-18)
+        numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-18)
     assert err.value.iterations == 13
 
 
@@ -140,7 +140,7 @@ def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
     monkeypatch.setattr(numerics, "_DAVIDSON_BUDGET", 3)
     monkeypatch.setattr(numerics, "_MAX_RESTARTS", 1)
     with pytest.raises(numerics.EigensolverError) as err:
-        numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-14)
+        numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-14)
     assert err.value.iterations >= 1
 
 
@@ -162,28 +162,57 @@ def test_smallest_eigenpair_tolerance_is_absolute(eigsh_calls):
     # eigenvalues near +100: a stop relative to |E| would miss the absolute
     # residual contract here; Davidson stops on the contract itself
     m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
-    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, 60, tol=1e-10)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-10)
     assert len(eigsh_calls) == 0
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
     assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
 
 
-@pytest.mark.parametrize("diagonal", [False, True], ids=["residual", "diagonal"])
-def test_arpack_finishes_what_the_davidson_budget_leaves(monkeypatch, eigsh_calls, diagonal):
+def test_arpack_finishes_what_the_davidson_budget_leaves(monkeypatch, eigsh_calls):
     m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
     monkeypatch.setattr(numerics, "_DAVIDSON_BUDGET", 3)
-    value, vector = numerics.smallest_eigenpair(
-        lambda v: m @ v, 60, tol=1e-10, diagonal=np.diag(m) if diagonal else None)
+    value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-10)
     # one call, its tolerance divided by |E| ~ 100
     assert len(eigsh_calls) == 1 and eigsh_calls[0] < 1e-11
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
     assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
 
 
+def test_stalled_davidson_hands_over_to_three_lanczos_attempts(monkeypatch):
+    # a residual of 1e-17 lies below the rounding of H v at E ~ 100
+    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
+    applied = []
+    handed_over = []  # (applications so far, tolerance) of each ARPACK call
+    eigsh = numerics.eigsh
+
+    def recorded_eigsh(*args, **kwargs):
+        handed_over.append((len(applied), kwargs["tol"]))
+        return eigsh(*args, **kwargs)
+
+    def apply(v):
+        applied.append(1)
+        return m @ v
+
+    monkeypatch.setattr(numerics, "eigsh", recorded_eigsh)
+    with pytest.raises(numerics.EigensolverError, match="3 Lanczos attempts"):
+        numerics.smallest_eigenpair(apply, np.diag(m), tol=1e-17)
+    assert len(handed_over) == 3
+    assert handed_over[0][0] <= numerics._DAVIDSON_BUDGET // 4
+    tolerances = [tol for _, tol in handed_over]
+    assert tolerances == sorted(tolerances, reverse=True)
+
+
+def test_smallest_eigenpair_rejects_a_bad_diagonal():
+    with pytest.raises(ValueError, match="diagonal"):
+        numerics.smallest_eigenpair(lambda v: v, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="diagonal"):
+        numerics.smallest_eigenpair(lambda v: v, np.ones(0))
+
+
 def test_smallest_eigenpair_rejects_a_zero_start_vector():
     m = np.diag(np.arange(1.0, 31.0))
     with pytest.raises(ValueError, match="v0"):
-        numerics.smallest_eigenpair(lambda v: m @ v, 30, v0=np.zeros(30))
+        numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), v0=np.zeros(30))
 
 
 # --- BLAS threads -----------------------------------------------------------------
