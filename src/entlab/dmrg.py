@@ -65,8 +65,9 @@ class DmrgConfig:
             raise ValueError("kept_states must be >= 1")
         if self.target_length < 2 or self.target_length % 2:
             raise ValueError("target_length must be a positive even integer")
-        if not 0.0 <= self.mass < np.inf:
-            raise ValueError("mass must be finite and nonnegative")
+        # so that mass ** 2 is a finite float, for an int mass too
+        if not 0.0 <= self.mass <= np.sqrt(np.finfo(float).max):
+            raise ValueError("mass must be nonnegative, with a finite square")
         if not 0.0 < self.gs_tolerance < np.inf:
             raise ValueError("gs_tolerance must be finite and positive")
 

@@ -59,8 +59,9 @@ def build_potential(n_sites: int, mass: float) -> np.ndarray:
     """
     if not n_sites >= 1:
         raise ValueError("n_sites must be >= 1")
-    if not mass >= 0.0:  # written so that NaN fails
-        raise ValueError("mass must be nonnegative")
+    # NaN fails, and mass ** 2 is a finite float, for an int mass too
+    if not 0.0 <= mass <= np.sqrt(np.finfo(float).max):
+        raise ValueError("mass must be nonnegative, with a finite square")
     v = np.zeros((n_sites, n_sites))
     np.fill_diagonal(v, 2.0 + mass ** 2)
     if n_sites > 1:

@@ -1,8 +1,8 @@
 """Dense and iterative linear algebra plus the special functions shared by the
-other modules: symmetric eigensolves, SVD, a ground-state (smallest eigenpair)
-solver for matrix-free operators, imaginary-order modified Bessel functions
-K_{i ell}(x), a bracketing root finder, and the switch that runs BLAS on
-one thread, thrown once when this module is imported.
+other modules: symmetric eigensolves, SVD, a ground-state solver for
+matrix-free operators of any dimension, imaginary-order modified Bessel
+functions K_{i ell}(x), a bracketing root finder, and the switch that runs
+BLAS on one thread, thrown once when this module is imported.
 
 All functions except that switch are pure and thread-safe.
 """
@@ -13,7 +13,7 @@ import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from scipy.special import k0, loggamma
 
 __all__ = [
@@ -137,38 +137,30 @@ def smallest_eigenpair(
     """Smallest eigenvalue and eigenvector of a real self-adjoint operator H.
 
     `apply` maps a vector to H @ v and `diagonal` is H's diagonal, whose
-    length is the dimension.  Small problems fall back to a dense solve;
-    larger ones use Davidson's iteration (J. Comput. Phys. 17, 87, 1975) on
-    a basis of at most _DAVIDSON_BASIS vectors, restarted from the two
-    lowest Ritz vectors, with the correction r / (diagonal - E) less its
-    part along the Ritz vector.  The start is v0, or else the unit vector
-    at the smallest diagonal entry.  Davidson stops when its running
-    residual is <= tol / 2, and the result is verified against the
-    residual contract ||H v - E v|| <= tol by one more application of H.
-    When that check fails, when the running residual has not halved over
-    _DAVIDSON_BASIS applications, or after _DAVIDSON_BUDGET applications,
-    ARPACK's Lanczos continues from Davidson's best vector, re-run tighter
-    from its own result if needed, at most three attempts.  Lanczos stops
-    at a residual of tol |E|, so its first tolerance is tol / max(1, |E|);
-    each result is verified the same way.
+    length (1 or more) is the dimension.  Davidson's iteration (J. Comput.
+    Phys. 17, 87, 1975) runs on a basis of at most _DAVIDSON_BASIS vectors,
+    restarted from the two lowest Ritz vectors, with the correction
+    r / (diagonal - E) less its part along the Ritz vector, from v0 or else
+    the unit vector at the smallest diagonal entry.  It stops at a running
+    residual <= tol / 2, and one more application of H verifies the
+    contract ||H v - E v|| <= tol.  When that check fails, when the running
+    residual has not halved over _DAVIDSON_BASIS applications, when the
+    correction lies in the basis's span, or after _DAVIDSON_BUDGET
+    applications, ARPACK's Lanczos continues from Davidson's best vector at
+    tol / max(1, |E|) (it stops at a residual of tol |E|), re-run tighter
+    from its own result, at most three attempts, each verified the same way.
 
-    Raises EigensolverError on non-convergence.
+    Raises ValueError on a non-finite diagonal, a tol <= 0 or a zero v0,
+    and EigensolverError on a non-finite H v or an ARPACK failure, or when
+    no attempt meets the contract.
     """
     diagonal = np.asarray(diagonal, dtype=np.float64)
     dim = diagonal.size
     if diagonal.ndim != 1 or dim < 1:
         raise ValueError("diagonal must be a nonempty 1-d array")
-    if dim <= 16:
-        h = np.stack([np.asarray(apply(col)) for col in np.eye(dim)], axis=1)
-        values, vectors = sym_eig(h)
-        value, vector = float(values[0]), vectors[:, 0]
-        residual = float(np.linalg.norm(apply(vector) - value * vector))
-        if residual > tol:
-            raise EigensolverError(
-                f"dense solve residual {residual:.3e} above tolerance "
-                f"{tol:.3e}", dim + 1)
-        return value, vector
-
+    _require_finite(diagonal, "diagonal")
+    if not tol > 0.0:  # written so that NaN fails
+        raise ValueError("tol must be positive")
     if v0 is None:
         v0 = np.zeros(dim)
         v0[np.argmin(diagonal)] = 1.0
@@ -194,6 +186,9 @@ def smallest_eigenpair(
         images[size] = counted(vector)
         projected[size, :size + 1] = basis[:size + 1] @ images[size]
         projected[:size, size] = projected[size, :size]
+        # a non-finite entry of H v makes v.H v non-finite too (0 * inf = nan)
+        if not np.isfinite(projected[size, size]):
+            raise EigensolverError("H v is not finite", applications)
         size += 1
         values, ritz = np.linalg.eigh(projected[:size, :size])
         value = float(values[0])
@@ -224,10 +219,14 @@ def smallest_eigenpair(
         scaled = best / shift
         residual /= shift
         residual -= (best @ residual) / (best @ scaled) * scaled
-        for _ in range(2):  # one Gram-Schmidt pass can leave rounding behind
-            residual -= (basis[:size] @ residual) @ basis[:size]
+        # Gram-Schmidt twice (Kahan's "twice is enough", Parlett): a second
+        # pass that removes half of what the first left means the correction
+        # lies in the span to rounding, and would make the basis dependent
+        residual -= (basis[:size] @ residual) @ basis[:size]
+        first = np.linalg.norm(residual)
+        residual -= (basis[:size] @ residual) @ basis[:size]
         norm = np.linalg.norm(residual)
-        if not norm > 0.0:
+        if not norm > 0.5 * first:
             break
         vector = residual / norm
 
@@ -237,11 +236,9 @@ def smallest_eigenpair(
         try:
             values, vectors = eigsh(op, k=1, which="SA", v0=best, tol=arpack_tol,
                                     maxiter=_MAX_RESTARTS)
-        except ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"Lanczos iteration did not converge within {_MAX_RESTARTS} "
-                f"restarts on attempt {attempt} after Davidson",
-                applications) from exc
+        except ArpackError as exc:  # ArpackNoConvergence among them
+            raise EigensolverError(f"Lanczos attempt {attempt} failed: {exc}",
+                                   applications) from exc
         value, best = float(values[0]), vectors[:, 0]
         residual = float(np.linalg.norm(counted(best) - value * best))
         if residual <= tol:

@@ -281,8 +281,7 @@ def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
 
 
 def test_eigensolver_failure_is_numerical_failure_exit_code(tmp_path, capsys):
-    # the dense solve of a 9-dimensional sector, then Davidson and ARPACK on
-    # the default chain
+    # Davidson and ARPACK on a 9-dimensional sector, then on the default chain
     for settings in ("target_length = 2\nlocal_dim = 5\ngs_tolerance = 1e-18\n",
                      "gs_tolerance = 1e-17\n"):
         cfg = tmp_path / "dmrg.cfg"
@@ -436,6 +435,9 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     (b"experiment = dmrg\nmass = nan\n", "mass"),
     (b"experiment = dmrg\ngs_tolerance = nan\n", "gs_tolerance"),
     (b"experiment = dmrg\nmass = -1\n", "mass"),
+    # a mass whose square overflows, not an OverflowError traceback
+    (b"experiment = dmrg\nmass = 1e155\n", "mass"),
+    (b"experiment = oracle\nmass = 1e155\n", "mass"),
     (b"experiment = dmrg\ngs_tolerance = 0\n", "gs_tolerance"),
     (b"experiment = modes\nx_max = inf\n", "x_max"),
     (b"experiment = kruskal\nmasses = nan\n", "masses"),
@@ -451,7 +453,8 @@ def test_zero_row_count_is_usage_error(tmp_path, capsys, experiment, key, low):
     (b"experiment = geom-entropy\nmass = -1\n", "mass must be positive"),
     (b"experiment = modes\nmass = 0\n", "mass must be positive"),
 ], ids=["seed", "seed-negative", "utf8", "dmrg-mass-nan", "gs-tolerance-nan",
-        "dmrg-mass-negative", "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
+        "dmrg-mass-negative", "dmrg-mass-overflow", "oracle-mass-overflow",
+        "gs-tolerance-zero", "x-max-inf", "masses-nan", "epsilons-inf",
         "masses-duplicate", "epsilons-duplicate", "keep-not-below-dim",
         "oracle-one-site", "spectrum-mass-zero", "geom-entropy-mass-negative",
         "modes-mass-zero"])

@@ -437,13 +437,19 @@ def test_unreachable_tolerance_fails_after_one_stalled_davidson_cycle(solves):
     assert len(solves) == 0  # the first solve raised
 
 
-def test_tolerance_near_one_ulp_of_the_energy_is_met_by_the_fallback(solves):
+@pytest.mark.parametrize("local_dim, most_applications", [(2, 30), (4, 40)],
+                         ids=["local_dim-2", "local_dim-4"])
+def test_tolerance_near_one_ulp_of_the_energy_is_met_by_the_fallback(
+        solves, local_dim, most_applications):
     # at mass 1000, E ~ 2000 from step 2 on, whose ulp is 2.3e-13: Davidson's
-    # running residual stalls above 1e-13 / 2, and the Lanczos attempts from
-    # its best vector meet the contract, as three attempts from v0 did
-    iterates = dmrg.run(dmrg.DmrgConfig(mass=1000.0, local_dim=4, gs_tolerance=1e-13))
+    # running residual stalls above 1e-13 / 2, or its correction falls into
+    # the span of its basis, and the Lanczos attempts from its best vector
+    # meet the contract; at local_dim 2 the sectors of steps 1 and 2 have
+    # dimensions 2 and 6, which the basis spans
+    iterates = dmrg.run(dmrg.DmrgConfig(mass=1000.0, local_dim=local_dim,
+                                        gs_tolerance=1e-13))
     assert len(iterates) == len(solves) == 10
-    assert max(count for count, _, _ in solves) <= 40
+    assert max(count for count, _, _ in solves) <= most_applications
 
 
 def test_zero_eigenvalue_of_the_last_ground_state_gives_a_finite_start(solves):
@@ -549,7 +555,8 @@ def test_config_validation():
     for tolerance in (0.0, -1e-10, float("nan")):
         with pytest.raises(ValueError, match="gs_tolerance"):
             dmrg.DmrgConfig(gs_tolerance=tolerance)
-    for mass in (-0.5, float("nan"), float("inf")):
+    # masses whose square overflows a float, in the site frequency
+    for mass in (-0.5, float("nan"), float("inf"), 1e155, 10 ** 200):
         with pytest.raises(ValueError, match="mass"):
             dmrg.DmrgConfig(mass=mass)
     assert dmrg.DmrgConfig(mass=0.0).mass == 0.0

@@ -28,7 +28,9 @@ def test_uncoupled_limit_is_diagonal():
     (0, 1.0, "n_sites must be >= 1"),
     (2, -1.0, "mass must be nonnegative"),
     (2, np.nan, "mass must be nonnegative"),
-], ids=["no-sites", "negative-mass", "nan-mass"])
+    (2, 1e155, "finite square"),  # mass ** 2 overflows
+    (2, 10 ** 200, "finite square"),
+], ids=["no-sites", "negative-mass", "nan-mass", "overflowing-mass", "overflowing-int-mass"])
 def test_potential_rejects_a_bad_chain(n_sites, mass, named):
     with pytest.raises(ValueError, match=named):
         hc.build_potential(n_sites, mass)

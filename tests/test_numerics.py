@@ -124,15 +124,52 @@ def test_smallest_eigenpair_matches_dense(dim):
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-9
 
 
-def test_smallest_eigenpair_dense_path_meets_the_residual_contract():
-    m = rand_symmetric(12, np.random.default_rng(3))
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_davidson_meets_the_residual_contract_at_small_dimensions(dim):
+    m = rand_symmetric(dim, np.random.default_rng(dim))
     value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-10)
-    assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-12
+    assert abs(value - np.linalg.eigvalsh(m)[0]) <= 1e-12
     assert np.linalg.norm(m @ vector - value * vector) <= 1e-10
-    # a dense eigenvector's residual is ~1e-15, never 1e-18
-    with pytest.raises(numerics.EigensolverError) as err:
-        numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-18)
-    assert err.value.iterations == 13
+    # a residual of 1e-18 lies below the rounding of H v, unless H v - E v
+    # rounds to exactly 0 (here at dimensions 1 and 5): the solve must fail
+    # with EigensolverError or return a pair that meets the contract
+    try:
+        value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-18)
+    except numerics.EigensolverError:
+        return
+    assert np.linalg.norm(m @ vector - value * vector) <= 1e-18
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_davidson_near_rounding_returns_a_unit_eigenvector_or_fails(dim):
+    # a basis that spans the space leaves a correction of rounding alone;
+    # normalised into the basis, it makes the Rayleigh matrix singular, and
+    # a Ritz pair such as E ~ 1e-16, |v| ~ 1e-14 then passes the contract
+    for seed in range(20):
+        m = rand_symmetric(dim, np.random.default_rng(1000 * dim + seed)) * 10.0 ** (seed % 4)
+        exact = np.linalg.eigvalsh(m)[0]
+        for tol in (1e-15, 1e-14):
+            try:
+                value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=tol)
+            except numerics.EigensolverError:
+                continue
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+            assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
+            assert np.linalg.norm(m @ vector - value * vector) <= tol
+
+
+@pytest.mark.parametrize("dim", [1, 2, 12, 30])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_application_is_an_eigensolver_error(dim, bad):
+    m = rand_symmetric(dim, np.random.default_rng(dim))
+
+    def apply(v):
+        image = m @ v
+        image[-1] = bad
+        return image
+
+    with pytest.raises(numerics.EigensolverError, match="not finite"):
+        numerics.smallest_eigenpair(apply, np.diag(m))
 
 
 def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
@@ -207,6 +244,14 @@ def test_smallest_eigenpair_rejects_a_bad_diagonal():
         numerics.smallest_eigenpair(lambda v: v, np.ones((2, 2)))
     with pytest.raises(ValueError, match="diagonal"):
         numerics.smallest_eigenpair(lambda v: v, np.ones(0))
+    with pytest.raises(ValueError, match="diagonal"):
+        numerics.smallest_eigenpair(lambda v: v, np.array([1.0, np.nan, 2.0]))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_smallest_eigenpair_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        numerics.smallest_eigenpair(lambda v: v, np.ones(1), tol=tol)
 
 
 def test_smallest_eigenpair_rejects_a_zero_start_vector():
