@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy >= 2.4 loads it on first use, inside run_experiment's timing
 
 from . import __version__, experiments, numerics
 

@@ -67,6 +67,31 @@ def test_dmrg_report_does_not_depend_on_blas_threads(tmp_path):
     assert reports[0] == reports[1]
 
 
+# a fresh process: importing entlab.cli loads neither scipy.special nor
+# scipy.sparse, and the default spectrum and kruskal runs load no module more
+_IMPORTS = """
+import json, sys
+from pathlib import Path
+import entlab.cli
+scipy = sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "special"],
+                                                              ["scipy", "sparse"]))
+before = set(sys.modules)
+for experiment in ("spectrum", "kruskal"):
+    config = entlab.cli.ExperimentConfig(experiment, out=Path(sys.argv[1]) / experiment)
+    assert entlab.cli.run_experiment(config).passed
+print(json.dumps({"scipy": scipy, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_cli_import_loads_no_scipy_and_runs_load_no_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _IMPORTS, str(tmp_path)], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"scipy": [], "loaded": []}
+
+
 def test_text_output_path_writes_the_report(tmp_path):
     out = tmp_path / "s.csv"
     config = cli.ExperimentConfig(experiment="symmetry", out=str(out),

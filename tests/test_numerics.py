@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -158,6 +158,8 @@ def test_davidson_near_rounding_returns_a_unit_eigenvector_or_fails(dim):
             assert np.linalg.norm(m @ vector - value * vector) <= tol
 
 
+# the error comes before any arithmetic on H v, so numpy has nothing to warn of
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("dim", [1, 2, 12, 30])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_application_is_an_eigensolver_error(dim, bad):
@@ -215,28 +217,52 @@ def test_arpack_finishes_what_the_davidson_budget_leaves(monkeypatch, eigsh_call
     assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
 
 
-def test_stalled_davidson_hands_over_to_three_lanczos_attempts(monkeypatch):
-    # a residual of 1e-17 lies below the rounding of H v at E ~ 100
-    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
+@pytest.fixture
+def handed_over(monkeypatch):
+    """The (applications so far, tolerance) of every ARPACK call made while
+    the test runs, and the wrapper that counts an operator's applications."""
+    calls = []
     applied = []
-    handed_over = []  # (applications so far, tolerance) of each ARPACK call
     eigsh = numerics.eigsh
 
     def recorded_eigsh(*args, **kwargs):
-        handed_over.append((len(applied), kwargs["tol"]))
+        calls.append((len(applied), kwargs["tol"]))
         return eigsh(*args, **kwargs)
 
-    def apply(v):
-        applied.append(1)
-        return m @ v
+    def counted(apply):
+        def call(v):
+            applied.append(1)
+            return apply(v)
+        return call
 
     monkeypatch.setattr(numerics, "eigsh", recorded_eigsh)
+    return calls, counted
+
+
+def test_stalled_davidson_hands_over_to_three_lanczos_attempts(handed_over):
+    # entries of size ~1000 with E = 0.5: H v rounds at ~6e-12, above a
+    # contract of 1e-12, which ARPACK is asked for at 1e-12, 1e-14 and 1e-16
+    calls, counted = handed_over
+    m = 1000.0 * rand_symmetric(60, np.random.default_rng(1))
+    m -= (np.linalg.eigvalsh(m)[0] - 0.5) * np.eye(60)
     with pytest.raises(numerics.EigensolverError, match="3 Lanczos attempts"):
-        numerics.smallest_eigenpair(apply, np.diag(m), tol=1e-17)
-    assert len(handed_over) == 3
-    assert handed_over[0][0] <= numerics._DAVIDSON_BUDGET // 4
-    tolerances = [tol for _, tol in handed_over]
-    assert tolerances == sorted(tolerances, reverse=True)
+        numerics.smallest_eigenpair(counted(lambda v: m @ v), np.diag(m), tol=1e-12)
+    assert len(calls) == 3
+    assert calls[0][0] <= numerics._DAVIDSON_BUDGET // 4
+    assert [tol for _, tol in calls] == pytest.approx([1e-12, 1e-14, 1e-16], rel=1e-12)
+
+
+def test_lanczos_stops_once_its_tolerance_cannot_tighten(handed_over):
+    # a residual of 1e-17 lies below the rounding of H v at E ~ 100, and its
+    # ARPACK tolerance 1e-17 / |E| below 1e-16: a second attempt at the same
+    # tolerance would only redraw the rounding
+    calls, counted = handed_over
+    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
+    with pytest.raises(numerics.EigensolverError, match="1 Lanczos attempt "):
+        numerics.smallest_eigenpair(counted(lambda v: m @ v), np.diag(m), tol=1e-17)
+    assert len(calls) == 1
+    assert calls[0][0] <= numerics._DAVIDSON_BUDGET // 4
+    assert calls[0][1] < 1e-18
 
 
 def test_smallest_eigenpair_rejects_a_bad_diagonal():
@@ -433,19 +459,88 @@ def test_unconverged_quadrature_batch_fails_in_bounded_memory():
     assert result.stdout == "NumericalError Bessel quadrature did not converge\n"
 
 
+# dmrg at mass 1000, local_dim 4, gs_tolerance 1e-13 hands its solves over to
+# ARPACK, whose first call loads scipy's own OpenBLAS; then the thread count
+# of every OpenBLAS in the process
+_FALLBACK_THREADS = """
+import ctypes, json, os
+from entlab import dmrg, numerics
+fallbacks = []
+eigsh = numerics.eigsh
+
+def counted_eigsh(*args, **kwargs):
+    fallbacks.append(kwargs["tol"])
+    return eigsh(*args, **kwargs)
+
+numerics.eigsh = counted_eigsh
+dmrg.run(dmrg.DmrgConfig(mass=1000.0, local_dim=4, gs_tolerance=1e-13))
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+threads = {}
+for path in (p for p in paths if p.startswith("/")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            threads[os.path.basename(path)] = get()
+            break
+print(json.dumps({"fallbacks": len(fallbacks), "threads": threads}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="reads /proc/self/maps")
+def test_arpack_fallback_runs_every_openblas_on_one_thread():
+    # OpenBLAS starts one thread per core unless told otherwise
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _FALLBACK_THREADS], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["fallbacks"] > 0
+    assert report["threads"] and set(report["threads"].values()) == {1}, report
+
+
 def test_k0_is_evaluated_only_where_it_is_kept(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
     sizes = []
+    k0 = numerics.k0
 
     def recording_k0(x):
         sizes.append(np.size(x))
-        return scipy.special.k0(x)
+        return k0(x)
 
     monkeypatch.setattr(numerics, "k0", recording_k0)
     numerics.bessel_K_imag(8.0, np.linspace(0.5, 30.0, 600))
-    assert sum(sizes) == 0  # no point of an ell = 8 batch is of order zero
+    assert sizes == []  # no point of an ell = 8 batch is of order zero
     xs = np.linspace(0.05, 2.0, 40)  # the series side, where K_{i0} = K_0
-    assert np.array_equal(numerics.bessel_K_imag(0.0, xs), scipy.special.k0(xs))
+    with mpmath.workdps(40):
+        reference = np.array([float(mpmath.besselk(0, mpmath.mpf(x))) for x in xs])
+    assert np.abs(numerics.bessel_K_imag(0.0, xs) / reference - 1.0).max() <= 4e-15
     assert sum(sizes) == xs.size
+
+
+def test_k0_matches_mpmath_where_the_zero_order_branch_reaches():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.geomspace(1e-300, 1e-8, 30), np.geomspace(1e-8, 2.0, 300),
+                         np.linspace(1.0, 2.0, 300)])
+    with mpmath.workdps(40):
+        reference = np.array([float(mpmath.besselk(0, mpmath.mpf(x))) for x in xs])
+    assert np.abs(numerics.k0(xs) / reference - 1.0).max() <= 4e-15
+
+
+def test_arg_gamma_matches_mpmath_on_its_continuous_branch():
+    mpmath = pytest.importorskip("mpmath")
+    ells = np.concatenate([np.geomspace(1e-8, 1.0, 100), np.linspace(1.0, 200.0, 1000)])
+    with mpmath.workdps(40):
+        reference = np.array([float(mpmath.loggamma(mpmath.mpc(1, ell)).imag)
+                              for ell in ells])
+    assert reference[-1] > 800.0  # far past pi: the branch does not wrap
+    # four ulp of |arg Gamma| ~ 860 at ell = 200; scipy's loggamma reaches three
+    assert np.abs(numerics.arg_gamma(ells) - reference).max() <= 5e-13
 
 
 def test_bessel_array_paths_agree_with_scalars():

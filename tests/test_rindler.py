@@ -347,6 +347,16 @@ def test_one_bad_kruskal_coordinate_rejects_the_whole_array(side, bad):
         rindler.from_kruskal(coords["u"], coords["v"], 1.0)
 
 
+def test_lambert_w0_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.concatenate([np.geomspace(1e-300, 1e30, 600), np.linspace(0.01, 10.0, 400)])
+    with mpmath.workdps(40):
+        reference = np.array([float(mpmath.lambertw(mpmath.mpf(x))) for x in z])
+    assert np.abs(rindler.lambert_w0(z) / reference - 1.0).max() <= 5e-16
+    assert rindler.lambert_w0(0.0) == 0.0
+    assert rindler.lambert_w0(np.inf) == np.inf
+
+
 def test_array_chart_equals_the_scalar_calls():
     rng = np.random.default_rng(3)
     mass = 1.5
