@@ -23,14 +23,13 @@ __all__ = [
     "build_potential",
     "ground_state_covariance",
     "ground_energy",
-    "symplectic_eigenvalues",
+    "entanglement_energies",
     "block_entropy",
     "entanglement_spectrum",
     "oscillator_ops",
     "fock_ground_state",
 ]
 
-_PURE_NU_TOL = 1e-12
 DENSE_LIMIT = 4096
 
 
@@ -45,6 +44,10 @@ class GaussianGroundState:
     def __post_init__(self):
         if not (np.isfinite(self.X).all() and np.isfinite(self.P).all()):
             raise ValueError("covariances have non-finite entries")
+        # entanglement_energies needs a pure state; 4 X P - I is at most 6.1e-15
+        # on chains of 1-64 sites at mass 0-1000, and 1.3e-14 at 800 sites, mass 0
+        if np.abs(4.0 * self.X @ self.P - np.eye(self.n_sites)).max() > 1e-12:
+            raise ValueError("covariances are not of a pure state: 4 X P != I")
 
     @property
     def n_sites(self) -> int:
@@ -100,32 +103,29 @@ def _region_indices(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarra
     return idx
 
 
-def symplectic_eigenvalues(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarray:
-    """Symplectic spectrum of the reduced state on the region: square roots
-    of the eigenvalues of X_B P_B, computed from the symmetrized form
-    sqrt(X_B) P_B sqrt(X_B).  Each value is >= 1/2 (clamped)."""
-    idx = _region_indices(gs, region)
-    xb = gs.X[np.ix_(idx, idx)]
-    pb = gs.P[np.ix_(idx, idx)]
-    values, q = numerics.sym_eig(xb)
-    sqrt_x = (q * np.sqrt(np.clip(values, 0.0, None))) @ q.T
-    mu = np.linalg.eigvalsh(sqrt_x @ pb @ sqrt_x)
-    return np.sqrt(np.clip(mu, 0.25, None))
-
-
-def _mode_energies(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarray:
+def entanglement_energies(gs: GaussianGroundState, region: Iterable[int]) -> np.ndarray:
     """Entanglement energies eps_k = ln((nu_k+1/2)/(nu_k-1/2)) of the mixed
-    modes of the block; pure modes (nu = 1/2) are left out."""
-    nu = symplectic_eigenvalues(gs, region)
-    mixed = nu[nu > 0.5 + _PURE_NU_TOL]
-    return np.log((mixed + 0.5) / (mixed - 0.5))
+    modes of region A, nu_k its symplectic eigenvalues (Peschel,
+    cond-mat/0212631).  The state is pure, so X_A P_A - 1/4 =
+    X_A P_AB P_B^{-1} P_BA for B the rest of the chain, and nu_k^2 - 1/4 =
+    sigma_k^2, the squared singular values of L^{-1} P_BA R with P_B = L L^T
+    and X_A = R R^T.  Nothing cancels in eps_k = log1p((nu_k+1/2)/sigma_k^2);
+    pure modes, sigma_k = 0, are left out."""
+    a = _region_indices(gs, region)
+    b = np.delete(np.arange(gs.n_sites), a)
+    p_b = gs.P[b]
+    cross = np.linalg.solve(np.linalg.cholesky(p_b[:, b]),
+                            p_b[:, a] @ np.linalg.cholesky(gs.X[a][:, a]))
+    sigma2 = np.linalg.svd(cross, compute_uv=False) ** 2
+    sigma2 = sigma2[sigma2 > 0.0]
+    return np.log1p((0.5 + np.sqrt(0.25 + sigma2)) / sigma2)
 
 
 def block_entropy(gs: GaussianGroundState, region: Iterable[int]) -> float:
     """Entanglement entropy (nats) of a block of sites in the Gaussian
     ground state: the sum of the bosonic mode entropies at the entanglement
-    energies eps_k, with pure modes contributing zero."""
-    return float(bose_entropy(_mode_energies(gs, region)).sum())
+    energies eps_k."""
+    return float(bose_entropy(entanglement_energies(gs, region)).sum())
 
 
 def entanglement_spectrum(
@@ -136,14 +136,12 @@ def entanglement_spectrum(
     """The n_levels largest reduced-density eigenvalues, descending.
 
     Eigenvalues are products prod_k (1 - e^{-eps_k}) e^{-n_k eps_k} over
-    occupations n_k >= 0, with eps_k = ln((nu_k+1/2)/(nu_k-1/2)).  Pure
-    modes (nu = 1/2) are weight-1 factors and drop out of the enumeration.
+    occupations n_k >= 0 of the mixed modes, at their entanglement_energies
+    eps_k; a pure mode is a weight-1 factor.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    eps = _mode_energies(gs, region)
-    if eps.size == 0:
-        return np.array([1.0])
+    eps = entanglement_energies(gs, region)
     norm_log = float(np.log1p(-np.exp(-eps)).sum())
 
     # best-first search over occupation tuples ordered by total energy; a tuple

@@ -93,9 +93,8 @@ def test_uncoupled_chain_has_zero_block_entropy():
 
 def test_full_chain_region_is_pure():
     gs = hc.ground_state_covariance(hc.build_potential(4, 1.0))
-    nu = hc.symplectic_eigenvalues(gs, range(4))
-    assert np.abs(nu - 0.5).max() <= 1e-10
-    assert hc.block_entropy(gs, range(4)) <= 1e-10
+    assert hc.entanglement_energies(gs, range(4)).size == 0
+    assert hc.block_entropy(gs, range(4)) == 0.0
 
 
 def test_empty_region_rejected():
@@ -106,10 +105,13 @@ def test_empty_region_rejected():
         hc.block_entropy(gs, [7])
 
 
-def test_symplectic_eigenvalues_at_least_half():
+def test_entanglement_energies_are_finite_and_positive():
+    # eps_k > 0 is nu_k > 1/2; k of the 10 sites have min(k, 10 - k) mixed modes
     gs = hc.ground_state_covariance(hc.build_potential(10, 0.3))
     for size in (1, 3, 5, 9):
-        assert hc.symplectic_eigenvalues(gs, range(size)).min() >= 0.5 - 1e-10
+        eps = hc.entanglement_energies(gs, range(size))
+        assert eps.size == min(size, 10 - size)
+        assert np.isfinite(eps).all() and (eps > 0.0).all()
 
 
 def test_region_complement_symmetry():
@@ -118,6 +120,45 @@ def test_region_complement_symmetry():
         s_block = hc.block_entropy(gs, range(size))
         s_rest = hc.block_entropy(gs, range(size, 8))
         assert abs(s_block - s_rest) <= 1e-9
+
+
+def chain_entropy_mpmath(mpmath, n_sites, mass, cut):
+    """Entropy of the first `cut` sites at mpmath's working precision, from
+    the symplectic eigenvalues of the block itself: nu_k^2 are the
+    eigenvalues of R^T P_A R, with X_A = R R^T."""
+    v = mpmath.matrix(n_sites, n_sites)
+    for i in range(n_sites):
+        v[i, i] = 2 + mpmath.mpf(mass) ** 2
+        if i:
+            v[i, i - 1] = v[i - 1, i] = -1
+    w, q = mpmath.eigsy(v)
+    x, p = mpmath.matrix(cut, cut), mpmath.matrix(cut, cut)
+    for i in range(cut):
+        for j in range(cut):
+            x[i, j] = mpmath.fsum(q[i, k] * q[j, k] / mpmath.sqrt(w[k])
+                                  for k in range(n_sites)) / 2
+            p[i, j] = mpmath.fsum(q[i, k] * q[j, k] * mpmath.sqrt(w[k])
+                                  for k in range(n_sites)) / 2
+    r = mpmath.cholesky(x)
+    entropy = mpmath.mpf(0)
+    for nu in map(mpmath.sqrt, mpmath.eigsy(r.T * p * r)[0]):
+        if nu > 0.5:
+            entropy += (nu + 0.5) * mpmath.log(nu + 0.5) - (nu - 0.5) * mpmath.log(nu - 0.5)
+    return entropy
+
+
+@pytest.mark.parametrize("mass, bound", [
+    (0.0, 5e-14),  # measured 1.4e-14
+    (1.0, 1e-14),  # measured 1.8e-15
+    (100.0, 5e-11),  # measured 9.1e-12
+    (1000.0, 3e-9),  # measured 6.8e-10, the limit of the float64 P
+], ids=["mass-0", "mass-1", "mass-100", "mass-1000"])
+def test_block_entropy_matches_mpmath(mass, bound):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        reference = float(chain_entropy_mpmath(mpmath, 20, mass, 10))
+    gs = hc.ground_state_covariance(hc.build_potential(20, mass))
+    assert abs(hc.block_entropy(gs, range(10)) / reference - 1.0) <= bound
 
 
 def test_entropy_trend_near_critical_grows_massive_saturates():
@@ -242,10 +283,19 @@ def test_spectrum_of_uncoupled_chain_is_trivial():
 
 
 def test_single_mode_geometric_spectrum():
-    # nu = 3/2 gives eps = ln 2, hence levels 1/2, 1/4, 1/8, ...
-    gs = hc.GaussianGroundState(X=np.array([[1.5]]), P=np.array([[1.5]]))
+    # the two-mode squeezed state at cosh r = 3: each mode alone has
+    # nu = 3/2, so eps = ln 2, hence levels 1/2, 1/4, 1/8, ...
+    c, s = 3.0, np.sqrt(8.0)
+    gs = hc.GaussianGroundState(X=0.5 * np.array([[c, s], [s, c]]),
+                                P=0.5 * np.array([[c, -s], [-s, c]]))
     levels = hc.entanglement_spectrum(gs, [0], n_levels=5)
     assert np.abs(levels - [0.5, 0.25, 0.125, 0.0625, 0.03125]).max() <= 1e-12
+
+
+def test_ground_state_rejects_a_mixed_state():
+    # X = P = 3/2 is one thermal mode at nu = 3/2: 4 X P = 9, not 1
+    with pytest.raises(ValueError, match="pure state"):
+        hc.GaussianGroundState(X=np.array([[1.5]]), P=np.array([[1.5]]))
 
 
 def test_spectrum_of_degenerate_modes_counts_each_level_once():

@@ -357,6 +357,19 @@ def test_lambert_w0_matches_mpmath():
     assert rindler.lambert_w0(np.inf) == np.inf
 
 
+@pytest.mark.filterwarnings("error")
+def test_from_kruskal_takes_w0_from_the_log_where_u_v_overflows():
+    # r from 40-digit mpmath.  At M = 1, u v / 16 M^2 = 6.25e398 overflows
+    # (W_0 = 911.44); at M = 1e100 only u v does, and z is 6.25e198
+    r, t = rindler.from_kruskal(1e200, 1e200, 1.0)
+    assert abs(r / 1824.8928313399306 - 1.0) <= 4e-16 and t == 0.0
+    r, t = rindler.from_kruskal(1e200, 1e200, 1e100)
+    assert abs(r / 9.052631263097927e102 - 1.0) <= 4e-16 and t == 0.0
+    r, t = rindler.from_kruskal(np.array([1e200, 1.0]), np.array([1e200, 2.0]), 1.0)
+    assert abs(r[0] / 1824.8928313399306 - 1.0) <= 4e-16
+    assert (r[1], t[1]) == rindler.from_kruskal(1.0, 2.0, 1.0)
+
+
 def test_array_chart_equals_the_scalar_calls():
     rng = np.random.default_rng(3)
     mass = 1.5
