@@ -34,7 +34,6 @@ __all__ = [
     "run",
 ]
 
-_DEGENERACY_TOL = 1e-12
 _SUPERBLOCK_LIMIT = 1 << 20
 _SQRT2 = np.sqrt(2.0)
 _PREDICTION_CUTOFF = 1e-12
@@ -293,9 +292,10 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
 
 def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
     """The kept basis of a block from the superblock ground state M = M_ee +
-    M_oo: the dominant eigenvectors of rho_L = M M^T, which is block diagonal
-    too, so each sector is diagonalised alone and its weights scaled by
-    ||M_ss||^2.  A sector whose block of M is zero adds zero-weight states.
+    M_oo: the min(kept_states, n) dominant eigenvectors of rho_L = M M^T,
+    which is block diagonal too, so each sector is diagonalised alone and
+    its weights scaled by ||M_ss||^2.  A sector whose block of M is zero
+    adds zero-weight states.
 
     Returns (basis, its parity, all weights descending, number kept): the
     basis columns are in the block basis, even states first.
@@ -319,13 +319,7 @@ def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
     # a density matrix has no negative eigenvalue: those eigh returns are rounding
     w = np.clip(np.concatenate(weights)[order], 0.0, None)
 
-    n = w.size
-    kept = min(kept_states, n)
-    # keep a degenerate multiplet intact when it straddles the cut (zero-weight
-    # tails do not count as a multiplet)
-    while (kept < n and w[kept] > _DEGENERACY_TOL
-           and w[kept - 1] - w[kept] <= _DEGENERACY_TOL):
-        kept += 1
+    kept = min(kept_states, w.size)
     chosen = order[:kept]
     labels = np.concatenate(labels)
     chosen = chosen[np.argsort(labels[chosen] < 0, kind="stable")]  # even first

@@ -165,14 +165,13 @@ def smallest_eigenpair(
     residual has not halved over _DAVIDSON_BASIS applications, when the
     correction lies in the basis's span, or after _DAVIDSON_BUDGET
     applications, ARPACK's Lanczos continues from Davidson's best vector at
-    tol / max(1, |E|) (it stops at a residual of tol |E|), re-run 100x
-    tighter from its own result while the tolerance is above 1e-16, at most
-    three attempts, each verified the same way.  scipy is imported for this
-    fallback only.
+    tol / max(1, |E|) (it stops at a residual of tol |E|), once, and its
+    result is verified the same way.  scipy is imported for this fallback
+    only.
 
     Raises ValueError on a non-finite diagonal, a tol <= 0 or a zero v0,
     and EigensolverError on a non-finite H v or an ARPACK failure, or when
-    no attempt meets the contract.
+    the Lanczos result misses the contract.
     """
     diagonal = np.asarray(diagonal, dtype=np.float64)
     dim = diagonal.size
@@ -251,27 +250,18 @@ def smallest_eigenpair(
 
     arpack = _arpack()
     op = arpack.LinearOperator((dim, dim), matvec=counted, dtype=np.float64)
-    arpack_tol = tol / max(1.0, abs(value))
-    for attempt in range(1, 4):
-        try:
-            values, vectors = eigsh(op, k=1, which="SA", v0=best, tol=arpack_tol,
-                                    maxiter=_MAX_RESTARTS)
-        except arpack.ArpackError as exc:  # ArpackNoConvergence among them
-            raise EigensolverError(f"Lanczos attempt {attempt} failed: {exc}",
-                                   applications) from exc
-        value, best = float(values[0]), vectors[:, 0]
-        residual = float(np.linalg.norm(counted(best) - value * best))
-        if residual <= tol:
-            return value, best
-        # tighter, but not below 1e-16: at a tolerance that cannot tighten,
-        # another attempt would only redraw the rounding
-        tighter = max(arpack_tol / 100.0, 1e-16)
-        if not tighter < arpack_tol:
-            break
-        arpack_tol = tighter
+    try:
+        values, vectors = eigsh(op, k=1, which="SA", v0=best,
+                                tol=tol / max(1.0, abs(value)), maxiter=_MAX_RESTARTS)
+    except arpack.ArpackError as exc:  # ArpackNoConvergence among them
+        raise EigensolverError(f"Lanczos failed: {exc}", applications) from exc
+    value, best = float(values[0]), vectors[:, 0]
+    residual = float(np.linalg.norm(counted(best) - value * best))
+    if residual <= tol:
+        return value, best
     raise EigensolverError(
         f"residual {residual:.3e} still above tolerance {tol:.3e} after "
-        f"Davidson and {attempt} Lanczos attempt{'s' * (attempt > 1)}", applications)
+        "Davidson and 1 Lanczos attempt", applications)
 
 
 # --- imaginary-order modified Bessel function ------------------------------

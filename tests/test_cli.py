@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entlab import cli, experiments
+from entlab import cli, dmrg, experiments, numerics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -630,3 +630,18 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys, pairs):
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dmrg_sweep_prints_one_line_per_config(capsys):
+    sweep = _load_script("dmrg_sweep")
+    solve, eigsh, step = numerics.smallest_eigenpair, numerics.eigsh, dmrg.dmrg_step
+    assert sweep.main(["--masses", "1", "1e8", "--local-dims", "8", "--kept", "8"]) == 0
+    passed, failed = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (passed["exit"], passed["error"], passed["kept_off"]) == (0, None, [])
+    assert passed["kept"] == [8] * 10 and passed["eigsh_calls"] == [0] * 10
+    assert passed["applications"] > 0 and passed["energy_rel_err"] < 1e-8
+    # at mass 1e8 the first solve misses 1e-10 after one Lanczos attempt
+    assert failed["exit"] == 4 and "1 Lanczos attempt" in failed["error"]
+    assert failed["eigsh_calls"] == [1] and failed["kept"] == []
+    # the counting wrappers are taken off again
+    assert (numerics.smallest_eigenpair, numerics.eigsh, dmrg.dmrg_step) == (solve, eigsh, step)
