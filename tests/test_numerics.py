@@ -254,6 +254,19 @@ def test_stalled_davidson_hands_over_to_one_lanczos_attempt(handed_over):
     assert err.value.iterations <= 130  # 109 measured
 
 
+def test_lanczos_stops_once_its_tolerance_cannot_tighten(handed_over):
+    # a residual of 1e-17 lies below the rounding of H v at E ~ 100, and its
+    # ARPACK tolerance 1e-17 / |E| below 1e-18: the fallback is not retried at
+    # a tighter tolerance, which would only redraw the rounding
+    calls, counted = handed_over
+    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
+    with pytest.raises(numerics.EigensolverError, match="1 Lanczos attempt "):
+        numerics.smallest_eigenpair(counted(lambda v: m @ v), np.diag(m), tol=1e-17)
+    assert len(calls) == 1
+    assert calls[0][0] <= numerics._DAVIDSON_BUDGET // 4
+    assert calls[0][1] < 1e-18
+
+
 def test_smallest_eigenpair_rejects_a_bad_diagonal():
     with pytest.raises(ValueError, match="diagonal"):
         numerics.smallest_eigenpair(lambda v: v, np.ones((2, 2)))
