@@ -13,7 +13,7 @@ experiment's own runner and check.  A line holds:
   check, 2 a ValueError, 4 a NumericalError), and `error`, the exception's
   message or null;
 - `applications`: operator applications over all solves, a failed one
-  included;
+  included, and `solve_applications`: those of each solve;
 - `eigsh_calls`: the ARPACK calls of each solve, counted by wrapping
   `numerics.eigsh`;
 - `kept`: the states kept at each step (empty after an error), and
@@ -45,7 +45,7 @@ def _sweep_one(params: dict) -> dict:
     """Run one `dmrg` config with counting wrappers around the solver, the
     ARPACK call and the growth step, and return its record."""
     solve, eigsh, step = numerics.smallest_eigenpair, numerics.eigsh, dmrg.dmrg_step
-    applications = 0
+    solve_applications = []
     eigsh_calls = []
     expected = []
 
@@ -55,10 +55,10 @@ def _sweep_one(params: dict) -> dict:
 
     def counted_solve(apply, *args, **kwargs):
         def counted(vec):
-            nonlocal applications
-            applications += 1
+            solve_applications[-1] += 1
             return apply(vec)
 
+        solve_applications.append(0)
         eigsh_calls.append(0)
         return solve(counted, *args, **kwargs)
 
@@ -86,7 +86,8 @@ def _sweep_one(params: dict) -> dict:
     record["seconds"] = round(time.perf_counter() - start, 3)
 
     kept = table["kept"] if table is not None else []
-    record.update(applications=applications, eigsh_calls=eigsh_calls, kept=kept,
+    record.update(applications=sum(solve_applications),
+                  solve_applications=solve_applications, eigsh_calls=eigsh_calls, kept=kept,
                   kept_off=[[i + 1, k, e] for i, (k, e) in enumerate(zip(kept, expected))
                             if k != e],
                   energy_rel_err=None, entropy_rel_err=None)

@@ -85,9 +85,10 @@ class DmrgBlock:
     kron(edge_phi, I).  That factor is the bare site in an enlarged block,
     and the whole basis in a truncated or the empty one.  All matrices are
     real.  parity labels each basis state +1 or -1 under phi -> -phi; a
-    truncated block lists its even states first.  ground_state, in a
-    truncated block, is the superblock ground state it was cut from, as a
-    (block x mirror) matrix in the kept basis; run's empty block has [[1]].
+    truncated block lists its states in descending weight.  ground_state,
+    in a truncated block, is the superblock ground state it was cut from,
+    as a (block x mirror) matrix in the kept basis; run's empty block has
+    [[1]].
     prediction, in a truncated block cut from a block with a ground state,
     is a factor F of the next step's predicted ground state F F^T, over
     the enlarged basis (new site) x (this block); see _prediction.
@@ -298,7 +299,7 @@ def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
     adds zero-weight states.
 
     Returns (basis, its parity, all weights descending, number kept): the
-    basis columns are in the block basis, even states first.
+    basis columns are in the block basis, in descending weight.
     """
     weights, vectors, labels = [], [], []
     for sign in (1, -1):
@@ -321,9 +322,7 @@ def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
 
     kept = min(kept_states, w.size)
     chosen = order[:kept]
-    labels = np.concatenate(labels)
-    chosen = chosen[np.argsort(labels[chosen] < 0, kind="stable")]  # even first
-    return np.hstack(vectors)[:, chosen], labels[chosen], w, kept
+    return np.hstack(vectors)[:, chosen], np.concatenate(labels)[chosen], w, kept
 
 
 def _prediction(rotated: np.ndarray, previous: np.ndarray | None) -> np.ndarray | None:

@@ -123,10 +123,6 @@ def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Davidson's basis holds at most this many vectors, as rows; a larger one
 # saved few applications in DMRG and costs peak memory.
 _DAVIDSON_BASIS = 8
-# Davidson's operator applications before ARPACK takes over: 4x the most
-# any DMRG solve took, 115 at mass 0, local_dim 12, kept 32, tolerance 1e-13
-# (mass 0-1000, local_dim 2-12, kept 4-32, tolerance 1e-10 and 1e-13).
-_DAVIDSON_BUDGET = 460
 _MAX_RESTARTS = 20000
 
 
@@ -162,12 +158,13 @@ def smallest_eigenpair(
     the unit vector at the smallest diagonal entry.  It stops at a running
     residual <= tol / 2, and one more application of H verifies the
     contract ||H v - E v|| <= tol.  When that check fails, when the running
-    residual has not halved over _DAVIDSON_BASIS applications, when the
-    correction lies in the basis's span, or after _DAVIDSON_BUDGET
-    applications, ARPACK's Lanczos continues from Davidson's best vector at
-    tol / max(1, |E|) (it stops at a residual of tol |E|), once, and its
-    result is verified the same way.  scipy is imported for this fallback
-    only.
+    residual has not halved over _DAVIDSON_BASIS applications, or when the
+    correction lies in the basis's span, ARPACK's Lanczos continues from
+    Davidson's best vector at tol / max(1, |E|) (it stops at a residual of
+    tol |E|), once, and its result is verified the same way.  scipy is
+    imported for this fallback only.  The stall rule bounds Davidson: from
+    a first residual r_1 it ends within 8 (ceil(log2(2 r_1 / tol)) + 1)
+    applications.
 
     Raises ValueError on a non-finite diagonal, a tol <= 0 or a zero v0,
     and EigensolverError on a non-finite H v or an ARPACK failure, or when
@@ -219,10 +216,8 @@ def smallest_eigenpair(
             break
         # a residual that has not halved over a whole basis of applications
         # has stalled, typically at the rounding of H v near one ulp of |E|
-        stalled = (len(norms) > _DAVIDSON_BASIS
-                   and min(norms[-_DAVIDSON_BASIS:])
-                   > 0.5 * min(norms[:-_DAVIDSON_BASIS]))
-        if stalled or applications >= _DAVIDSON_BUDGET:
+        if (len(norms) > _DAVIDSON_BASIS
+                and min(norms[-_DAVIDSON_BASIS:]) > 0.5 * min(norms[:-_DAVIDSON_BASIS])):
             break
         if size == _DAVIDSON_BASIS:
             basis[:2] = ritz[:, :2].T @ basis[:size]
@@ -388,13 +383,20 @@ def _series_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _descent_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Trapezoid rule on the steepest-descent path at paired 1-d ells and
-    xs, with x > ell."""
-    root = np.sqrt((xs - ells) * (xs + ells))
+    xs, with x > ell.  K is 0 where e^{-F(0)} underflows, and those points
+    stay out of the shared grid, whose step could not resolve their peaks
+    of width ~ x^{-1/2}."""
+    with np.errstate(over="ignore"):  # past x ~ 1.3e154, where K is 0 anyway
+        root = np.sqrt((xs - ells) * (xs + ells))
     peak = root + ells * np.arcsin(ells / xs)  # F(0)
-    T = float(np.arccosh(np.max((peak + np.log(1e18)) / root)))
-    ratio, x, ell, f0 = (a[:, None] for a in (ells / xs, xs, ells, peak))
+    out = np.exp(-peak)
+    live = out > 0.0
+    if not live.any():
+        return out
+    T = float(np.arccosh(np.max((peak[live] + np.log(1e18)) / root[live])))
+    ratio, x, ell, f0 = (a[live, None] for a in (ells / xs, xs, ells, peak))
 
-    def scaled(u):  # exp(F(0) - F(u)), shape (len(xs), len(u))
+    def scaled(u):  # exp(F(0) - F(u)), shape (live points, len(u))
         u_over_sinh = np.ones_like(u)
         np.divide(u, np.sinh(u), out=u_over_sinh, where=u > 0.0)
         sin_v = ratio * u_over_sinh
@@ -410,7 +412,8 @@ def _descent_K(ells: np.ndarray, xs: np.ndarray) -> np.ndarray:
         converged = np.all(np.abs(refined - estimate) <= _QUAD_REL_TOL * refined)
         estimate = refined
         if converged:
-            return estimate * np.exp(-peak)
+            out[live] *= estimate
+            return out
     raise NumericalError("Bessel quadrature did not converge")
 
 
@@ -456,7 +459,6 @@ def bessel_K_imag(ell, x):
 _SCAN_POINTS_PER_UNIT = 1000.0
 _ROOT_XTOL = 1e-12
 _ROOT_F_TOL = 1e-8
-_MAX_BISECTIONS = 200
 
 
 def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
@@ -464,9 +466,11 @@ def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
 
     `f` must accept a 1-d array and return the values elementwise.  Scans
     the bracket (10^3 points per unit length) and bisects each sign change
-    to one root, all in lock-step, one call of `f` per step, to 1e-12
-    relative.  Every returned root satisfies |f(r)| <= 1e-8; a sign change
-    that does not close onto such a root (a jump) raises NumericalError.
+    to one root, all in lock-step, one call of `f` per halving; each
+    bracket starts one scan step h wide, so ceil(log2(h / 1e-12)) halvings
+    take it to 1e-12.  Every returned root satisfies |f(r)| <= 1e-8; a sign
+    change that does not close onto such a root (a jump) raises
+    NumericalError.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -479,19 +483,15 @@ def find_roots(f: Callable, bracket: Sequence[float]) -> np.ndarray:
     sign = np.sign(values)
     flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
     a, b, fa = grid[flips], grid[flips + 1], values[flips]
-    active = np.arange(flips.size)
-    for _ in range(_MAX_BISECTIONS):
-        if active.size == 0:
-            break
-        mid = 0.5 * (a[active] + b[active])
+    halvings = int(np.ceil(np.log2((hi - lo) / n_scan / _ROOT_XTOL))) if flips.size else 0
+    for _ in range(halvings):
+        mid = 0.5 * (a + b)
         fm = np.asarray(f(mid), dtype=float)
-        same = np.sign(fm) == np.sign(fa[active])
+        same = np.sign(fm) == np.sign(fa)
         # an exact zero closes its bracket onto the midpoint
-        a[active] = np.where(same | (fm == 0.0), mid, a[active])
-        b[active] = np.where(same, b[active], mid)
-        fa[active] = np.where(same, fm, fa[active])
-        width = b[active] - a[active]
-        active = active[width > _ROOT_XTOL * np.maximum(1.0, np.abs(b[active]))]
+        a = np.where(same | (fm == 0.0), mid, a)
+        b = np.where(same, b, mid)
+        fa = np.where(same, fm, fa)
     r = 0.5 * (a + b)
     if r.size:
         residual = np.abs(np.asarray(f(r), dtype=float))

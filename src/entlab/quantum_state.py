@@ -102,14 +102,20 @@ def reduced_density_left(state: BipartiteState) -> DensityMatrix:
 
 
 def entropy_from_probs(p):
-    """Shannon entropy -sum p ln p in nats along the last axis, with the
-    0 ln 0 = 0 convention; a float for one vector.  Entries are clamped to
-    [0, 1] before the log; a non-finite entry raises ValueError."""
+    """Shannon entropy -sum p ln p in nats along the last axis, along which
+    p sums to 1, with the 0 ln 0 = 0 convention; a float for one vector.
+    Entries are clamped to [0, 1] before the log; a non-finite entry raises
+    ValueError.  The largest entry p_0 adds -p_0 log1p(-sum of the others),
+    which keeps that term where p_0 rounds to 1."""
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities have non-finite entries")
     p = np.clip(p, 0.0, 1.0)
-    # ln 1 stands in for ln 0; a pure state gets 0.0 - 0.0 = +0.0, not -0.0
-    s = 0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    top = p.argmax(axis=-1)[..., None]
+    largest = np.take_along_axis(p, top, axis=-1)[..., 0]
+    np.put_along_axis(p, top, 0.0, axis=-1)
+    # ln 1 stands in for ln 0; a pure state gets 0.0 - 0.0 - -0.0 = +0.0
+    s = (0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+         - largest * np.log1p(-p.sum(axis=-1)))
     return float(s) if s.ndim == 0 else s
 
 

@@ -639,9 +639,12 @@ def test_dmrg_sweep_prints_one_line_per_config(capsys):
     passed, failed = map(json.loads, capsys.readouterr().out.splitlines())
     assert (passed["exit"], passed["error"], passed["kept_off"]) == (0, None, [])
     assert passed["kept"] == [8] * 10 and passed["eigsh_calls"] == [0] * 10
-    assert passed["applications"] > 0 and passed["energy_rel_err"] < 1e-8
+    assert len(passed["solve_applications"]) == 10 and min(passed["solve_applications"]) > 0
+    assert passed["applications"] == sum(passed["solve_applications"])
+    assert passed["energy_rel_err"] < 1e-8
     # at mass 1e8 the first solve misses 1e-10 after one Lanczos attempt
     assert failed["exit"] == 4 and "1 Lanczos attempt" in failed["error"]
     assert failed["eigsh_calls"] == [1] and failed["kept"] == []
+    assert failed["solve_applications"] == [failed["applications"]]
     # the counting wrappers are taken off again
     assert (numerics.smallest_eigenpair, numerics.eigsh, dmrg.dmrg_step) == (solve, eigsh, step)

@@ -196,14 +196,14 @@ def full_space_step(block, config):
 
 @pytest.fixture
 def truncations(monkeypatch):
-    """(ground state M, enlarged parity, kept basis, kept parity) of every
-    truncation made while the test runs."""
+    """(ground state M, enlarged parity, kept basis, kept parity, weights,
+    number kept) of every truncation made while the test runs."""
     calls = []
     truncate = dmrg._truncate
 
     def recording(matrix, parity, kept_states):
         result = truncate(matrix, parity, kept_states)
-        calls.append((matrix, parity) + result[:2])
+        calls.append((matrix, parity) + result)
         return result
 
     monkeypatch.setattr(dmrg, "_truncate", recording)
@@ -249,11 +249,14 @@ def test_blocks_conserve_parity_exactly(config, truncations):
         edge = dmrg._edge_field(enlarged.edge_phi, enlarged.basis_size)
         assert not edge[np.equal.outer(p, p)].any()
         block, _ = dmrg.dmrg_step(block, config)
-        _, parity, basis, labels = truncations[-1]
+        m, parity, basis, labels, w, kept = truncations[-1]
         # each kept vector is an exact eigenvector of the parity operator
         assert np.array_equal(parity[:, None] * basis, basis * labels)
         assert np.abs(basis.T @ (parity[:, None] * basis) - np.diag(labels)).max() <= 1e-13
-        assert np.array_equal(labels, np.sort(labels)[::-1])  # even first
+        # and the kept basis is in descending weight: vector j carries w_j of M M^T
+        assert np.all(np.diff(w) <= 0.0)
+        carried = np.einsum("ij,ij->j", basis, m @ (m.T @ basis))
+        assert np.abs(carried - w[:kept]).max() <= 5e-15  # 6.7e-16 measured
         assert np.array_equal(block.parity, labels)
 
 
@@ -426,8 +429,7 @@ def test_nearly_diagonal_sector_converges_without_the_fallback(solves, monkeypat
 
 def test_unreachable_tolerance_fails_after_one_stalled_davidson_cycle(solves):
     # ARPACK alone gave up after 67 applications, three attempts of 21 and
-    # their checks; Davidson adds 30 before its residual stops halving,
-    # where it spent its whole budget of 460 before
+    # their checks; Davidson adds 30 before its residual stops halving
     with pytest.raises(numerics.EigensolverError) as err:
         dmrg.run(dmrg.DmrgConfig(gs_tolerance=1e-17))
     assert err.value.iterations <= 100
@@ -493,6 +495,19 @@ def test_run_tracks_oracle_on_short_chain():
     energy, entropy = oracle(8, 1.0)
     assert abs(last.ground_energy - energy) / energy <= 0.01
     assert abs(last.half_chain_entropy - entropy) / entropy <= 0.05
+
+
+@pytest.mark.parametrize("mass, reference", [
+    (1e4, 2.53837178909916e-16),
+    (1e6, 3.68966443461655e-24),
+], ids=["mass-1e4", "mass-1e6"])
+def test_entropy_of_a_nearly_pure_cut_matches_mpmath(mass, reference):
+    # the largest weight rounds to 1.0, and its -w ln w term is 1 / (1 - ln p)
+    # of the entropy, p the tail weight: read as 1.0 ln 1.0 = 0 it would leave
+    # the entropy 2.5 % (mass 1e4) and 1.7 % (mass 1e6) low.  reference: the
+    # 4-site chain at 80-digit mpmath, from the symplectic eigenvalues of its half
+    last = dmrg.run(dmrg.DmrgConfig(mass=mass, target_length=4))[-1]
+    assert abs(last.half_chain_entropy / reference - 1.0) <= 1e-10  # 2e-15 measured
 
 
 def test_kept_basis_size_stays_constant_once_reached():

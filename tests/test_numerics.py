@@ -174,13 +174,25 @@ def test_non_finite_application_is_an_eigensolver_error(dim, bad):
         numerics.smallest_eigenpair(apply, np.diag(m))
 
 
+def clustered(seed):
+    """A 60 x 60 matrix, eigenvalues 100 + 1e-3 k for k < 10 and then 101 to
+    150, in a random eigenbasis: the diagonal is nearly constant, so
+    Davidson's correction is nearly the residual, and its 8-vector basis
+    cannot resolve the cluster; its residual stops halving after about 32
+    applications."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    m = (q * (100.0 + np.concatenate([1e-3 * np.arange(10), np.linspace(1.0, 50.0, 50)]))) @ q.T
+    return 0.5 * (m + m.T)
+
+
 def test_smallest_eigenpair_nonconvergence_reports_iterations(monkeypatch):
-    m = rand_symmetric(60, np.random.default_rng(2))
-    monkeypatch.setattr(numerics, "_DAVIDSON_BUDGET", 3)
+    # Davidson stalls on the cluster and ARPACK, allowed one restart, gives up
+    m = clustered(1)
     monkeypatch.setattr(numerics, "_MAX_RESTARTS", 1)
-    with pytest.raises(numerics.EigensolverError) as err:
+    with pytest.raises(numerics.EigensolverError, match="Lanczos failed") as err:
         numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-14)
-    assert err.value.iterations >= 1
+    assert err.value.iterations > 2 * numerics._DAVIDSON_BASIS  # 64 measured
 
 
 @pytest.fixture
@@ -207,9 +219,8 @@ def test_smallest_eigenpair_tolerance_is_absolute(eigsh_calls):
     assert abs(value - numerics.sym_eig(m)[0][0]) <= 1e-9
 
 
-def test_arpack_finishes_what_the_davidson_budget_leaves(monkeypatch, eigsh_calls):
-    m = rand_symmetric(60, np.random.default_rng(1)) + 100.0 * np.eye(60)
-    monkeypatch.setattr(numerics, "_DAVIDSON_BUDGET", 3)
+def test_arpack_finishes_what_a_stalled_davidson_leaves(eigsh_calls):
+    m = clustered(1)
     value, vector = numerics.smallest_eigenpair(lambda v: m @ v, np.diag(m), tol=1e-10)
     # one call, its tolerance divided by |E| ~ 100
     assert len(eigsh_calls) == 1 and eigsh_calls[0] < 1e-11
@@ -249,7 +260,7 @@ def test_stalled_davidson_hands_over_to_one_lanczos_attempt(handed_over):
     with pytest.raises(numerics.EigensolverError, match="1 Lanczos attempt ") as err:
         numerics.smallest_eigenpair(counted(lambda v: m @ v), np.diag(m), tol=1e-12)
     assert len(calls) == 1
-    assert calls[0][0] <= numerics._DAVIDSON_BUDGET // 4
+    assert calls[0][0] <= 100  # 87 measured: the stall rule hands over
     assert calls[0][1] == pytest.approx(1e-12 / 50.0, rel=1e-9)
     assert err.value.iterations <= 130  # 109 measured
 
@@ -263,7 +274,7 @@ def test_lanczos_stops_once_its_tolerance_cannot_tighten(handed_over):
     with pytest.raises(numerics.EigensolverError, match="1 Lanczos attempt "):
         numerics.smallest_eigenpair(counted(lambda v: m @ v), np.diag(m), tol=1e-17)
     assert len(calls) == 1
-    assert calls[0][0] <= numerics._DAVIDSON_BUDGET // 4
+    assert calls[0][0] <= 100  # 83 measured: the stall rule hands over
     assert calls[0][1] < 1e-18
 
 
@@ -557,6 +568,17 @@ def test_bessel_array_paths_agree_with_scalars():
     assert np.abs(batch - singles).max() <= 1e-13
 
 
+# overflow of (x - ell)(x + ell) at 1e300 would be a RuntimeWarning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bessel_batch_with_underflowing_points_matches_single_points():
+    # K_{i8}(1e4) and beyond underflow; their peaks, of width ~ x^{-1/2}, are
+    # too narrow for the trapezoid grid that x = 30 needs, so they stay out of it
+    xs = np.array([5.0, 30.0, 1e4, 1e7, 1e300])
+    batch = numerics.bessel_K_imag(8.0, xs)
+    assert np.array_equal(batch, [numerics.bessel_K_imag(8.0, float(x)) for x in xs])
+    assert batch[1] > 0.0 and not batch[2:].any()
+
+
 # --- find_roots ----------------------------------------------------------------
 
 def test_find_roots_sine():
@@ -581,13 +603,15 @@ def test_find_roots_keeps_roots_closer_than_the_scan_step():
 
 def bisect_one_bracket_at_a_time(f, lo, hi):
     """Reference: the same scan, then each bracket bisected on its own with
-    scalar calls; a bracket that does not close onto |f| <= 1e-8 raises."""
-    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) * 1000.0)) + 1)
+    scalar calls, ceil(log2(h / 1e-12)) times for a scan step h; a bracket
+    that does not close onto |f| <= 1e-8 raises."""
+    n = int(np.ceil((hi - lo) * 1000.0))
+    grid = np.linspace(lo, hi, n + 1)
     values = f(grid)
     roots = list(grid[values == 0.0])
     for i in np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]:
         a, b, fa = grid[i], grid[i + 1], values[i]
-        for _ in range(200):
+        for _ in range(int(np.ceil(np.log2((hi - lo) / n / 1e-12)))):
             mid = 0.5 * (a + b)
             fm = f(np.array([mid]))[0]
             if fm == 0.0:
@@ -597,8 +621,7 @@ def bisect_one_bracket_at_a_time(f, lo, hi):
                 a, fa = mid, fm
             else:
                 b = mid
-            if b - a <= 1e-12 * max(1.0, abs(b)):
-                break
+        assert b - a <= 1e-12
         r = 0.5 * (a + b)
         if not abs(f(np.array([r]))[0]) <= 1e-8:
             raise numerics.NumericalError(f"sign change at {r:.12g} is not a root")

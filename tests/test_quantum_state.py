@@ -198,6 +198,14 @@ def test_entropy_from_probs_clamps_and_skips_zeros():
     assert qs.entropy_from_probs(p) == -(p[:2] * np.log(p[:2])).sum()
 
 
+@pytest.mark.parametrize("p", [[1.0, 6.25e-18], [6.25e-18, 0.0, 1.0]])
+def test_entropy_keeps_the_term_of_a_largest_entry_that_rounds_to_one(p):
+    # -(1 - t) ln(1 - t) = t to first order in the tail t; ln 1.0 would drop it
+    tail = 6.25e-18
+    s = qs.entropy_from_probs(np.array(p))
+    assert abs(s / (tail - tail * np.log(tail)) - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("p", [[1.0], [1.0, 0.0], [0.0, 1.0, -1e-17]])
 def test_entropy_of_a_pure_state_is_positive_zero(p):
     s = qs.entropy_from_probs(p)
