@@ -133,24 +133,14 @@ class Superblock:
     def block_dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.block_dim ** 2
-
-    def _edge_term(self, m: np.ndarray) -> np.ndarray:
-        """(phi x I) M (phi x I)^T: phi on the site index of the rows, then,
-        row by row, on the site index of the columns."""
-        n = self.block_dim
-        k = self.edge_phi.shape[0]
-        rows = (self.edge_phi @ m.reshape(k, -1)).reshape(n, k, n // k)
-        return np.matmul(self.edge_phi, rows).reshape(n, n)
-
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         n = self.block_dim
         m = vec.reshape(n, n)
         out = self.hamiltonian @ m
         out += m @ self.hamiltonian
-        out -= self._edge_term(m)
+        # (phi x I) M (phi x I)^T: phi on the rows' site index, then the columns'
+        rows = _on_site(self.edge_phi, m).reshape(n, self.edge_phi.shape[0], -1)
+        out -= np.matmul(self.edge_phi, rows).reshape(n, n)
         return out.ravel()
 
     def sector(self, parity: np.ndarray):
@@ -196,10 +186,7 @@ class Superblock:
             """The edge field on the rows of m, which run over one sector
             whose first part has head states; the rows of the result run
             over the other sector."""
-            cols = m.shape[1]
-            return np.concatenate([
-                (phi_eo @ m[head:].reshape(phi_eo.shape[1], -1)).reshape(-1, cols),
-                (phi_oe @ m[:head].reshape(phi_oe.shape[1], -1)).reshape(-1, cols)])
+            return np.concatenate([_on_site(phi_eo, m[head:]), _on_site(phi_oe, m[:head])])
 
         triangles = [_triangle(size) for size in sizes]
         split = sizes[0] * (sizes[0] + 1) // 2
@@ -246,7 +233,7 @@ class Superblock:
 
     def dense(self) -> np.ndarray:
         n = self.block_dim
-        edge = _edge_field(self.edge_phi, n)
+        edge = np.kron(self.edge_phi, np.eye(n // self.edge_phi.shape[0]))
         h = np.kron(self.hamiltonian, np.eye(n))
         h += np.kron(np.eye(n), self.hamiltonian)
         h -= np.kron(edge, edge)
@@ -267,15 +254,16 @@ def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, scatter.ravel()
 
 
-def _edge_field(edge_phi: np.ndarray, n: int) -> np.ndarray:
-    """The edge field on the whole n-dimensional block basis."""
-    return np.kron(edge_phi, np.eye(n // edge_phi.shape[0]))
+def _on_site(phi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(phi x I) m: phi on the leading tensor factor of m's rows."""
+    return (phi @ m.reshape(phi.shape[1], -1)).reshape(-1, m.shape[1])
 
 
 def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
-    """Adjoin one bare site at the origin-facing edge; the enlarged basis is
-    (new site) x (block).  Raises ValueError, before any matrix is built,
-    when the enlarged block's superblock exceeds the dimension limit."""
+    """Adjoin one bare site at the origin-facing edge of the empty or a
+    truncated block, whose edge_phi spans its whole basis; the enlarged
+    basis is (new site) x (block).  Raises ValueError, before any matrix
+    is built, when the enlarged block's superblock exceeds the limit."""
     d = config.local_dim
     n = block.basis_size
     if (d * n) ** 2 > _SUPERBLOCK_LIMIT:
@@ -285,7 +273,7 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
     h1, phi1 = oscillator_ops(config.site_frequency, d)
     ham = (np.kron(h1, np.eye(n))
            + np.kron(np.eye(d), block.hamiltonian)
-           - np.kron(phi1, _edge_field(block.edge_phi, n)))
+           - np.kron(phi1, block.edge_phi))
     parity = np.kron((-1) ** np.arange(d), block.parity)
     return DmrgBlock(length=block.length + 1, hamiltonian=ham, edge_phi=phi1,
                      parity=parity)
@@ -363,7 +351,6 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     residual contract on the full superblock.
     """
     enlarged = _enlarge(block, config)
-    n = enlarged.basis_size
     superblock = Superblock(enlarged.hamiltonian, enlarged.edge_phi)
     # the superblock is reflection symmetric and conserves parity: its ground
     # state M = M^T pairs equal parities only, so solve on that sector alone
@@ -389,7 +376,7 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
     rotated = basis.T @ matrix
     truncated = DmrgBlock(length=enlarged.length,
                           hamiltonian=0.5 * (kept_ham + kept_ham.T),
-                          edge_phi=basis.T @ _edge_field(enlarged.edge_phi, n) @ basis,
+                          edge_phi=basis.T @ _on_site(enlarged.edge_phi, basis),
                           parity=parity,
                           ground_state=rotated @ basis,
                           prediction=_prediction(rotated, block.ground_state))

@@ -1,6 +1,6 @@
 """Bipartite pure states and the information-theoretic machinery built on
 them: reduced density matrices, von Neumann entropy, Schmidt decomposition
-and optimal low-rank truncation.
+and the distance of a truncated state.
 
 States are immutable after construction; entropies are in nats.  Leading
 axes of an array, where a function allows them, index a stack of matrices.
@@ -23,7 +23,6 @@ __all__ = [
     "bose_entropy",
     "von_neumann_entropy",
     "schmidt",
-    "truncate",
     "truncation_distance",
     "evolve_product",
     "random_state",
@@ -141,21 +140,6 @@ def schmidt(state: BipartiteState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of the degenerate subspace works); only the spectrum is contract-bearing.
     """
     return numerics.svd(state.coeff)
-
-
-def truncate(state: BipartiteState, m: int) -> tuple[BipartiteState, float]:
-    """Project onto the m largest-eigenvalue eigenstates of rho_L and
-    renormalize.
-
-    Returns the truncated state and the discarded weight sum_{k>m} c_k^2
-    (measured before renormalization).
-    """
-    if not 1 <= m <= len(state.coeff):
-        raise ValueError(f"m={m} out of range [1, {len(state.coeff)}]")
-    u, s, v = numerics.svd(state.coeff)
-    kept = u[:, :m] @ (s[:m, None] * v[:, :m].conj().T)
-    weight = float((s[m:] ** 2).sum())
-    return BipartiteState(kept), weight
 
 
 def truncation_distance(original, reduced) -> float:

@@ -138,16 +138,19 @@ def geometric_entropy(spectrum: AngularSpectrum) -> float:
 def to_kruskal(r, t, mass: float):
     """Chart map (r, t) -> (u, v) of the exterior of a black hole of mass M,
     elementwise over scalars or arrays: u v = 16 M^2 (r/2M - 1) exp(r/2M - 1),
-    u/v = exp(t/2M).  Raises ValueError unless M > 0 and every r > 2M."""
+    u/v = exp(t/2M).  Raises ValueError unless M > 0, every r is finite and
+    r > 2M, and every t is finite."""
     if not mass > 0.0:  # written so that NaN fails, as is every check below
         raise ValueError("mass must be positive")
-    r = np.asarray(r, dtype=float)
-    if not np.all(r > 2.0 * mass):
-        raise ValueError(f"r not outside the horizon r > 2M = {2 * mass}; "
+    r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    if not np.all((r > 2.0 * mass) & (r < np.inf)):
+        raise ValueError(f"r not finite and outside the horizon r > 2M = {2 * mass}; "
                          "the chart covers the exterior branch only")
+    if not np.all(np.abs(t) < np.inf):
+        raise ValueError("t must be finite")
     rho = r / (2.0 * mass)
-    root = np.sqrt(16.0 * mass * mass * (rho - 1.0) * np.exp(rho - 1.0))
-    t = np.asarray(t, dtype=float)
+    # the root of u v, taken factor by factor: u v itself overflows first
+    root = 4.0 * mass * np.sqrt(rho - 1.0) * np.exp(0.5 * (rho - 1.0))
     return root * np.exp(t / (4.0 * mass)), root * np.exp(-t / (4.0 * mass))
 
 
@@ -171,12 +174,12 @@ def lambert_w0(z):
 def from_kruskal(u, v, mass: float):
     """Inverse chart map (u, v) -> (r, t) on the exterior branch, elementwise,
     via the Lambert W function.  Raises ValueError unless M > 0 and every
-    u > 0 and v > 0."""
+    u and v is finite and positive."""
     if not mass > 0.0:
         raise ValueError("mass must be positive")
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if not (np.all(u > 0.0) and np.all(v > 0.0)):
-        raise ValueError("exterior branch requires u > 0 and v > 0")
+    if not np.all((u > 0.0) & (u < np.inf) & (v > 0.0) & (v < np.inf)):
+        raise ValueError("exterior branch requires finite u > 0 and v > 0")
     with np.errstate(over="ignore"):
         z = u * v / (16.0 * mass * mass)
     w, over = lambert_w0(z), np.isinf(z)

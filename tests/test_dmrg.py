@@ -59,6 +59,16 @@ def test_two_site_block_matches_fock_oracle():
 
 # --- superblock ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("shape", [(4, 4), (2, 3)], ids=["square", "rectangular"])
+def test_on_site_is_the_kronecker_product_with_the_identity(shape):
+    rng = np.random.default_rng(4)
+    phi = rng.standard_normal(shape)
+    m = rng.standard_normal((shape[1] * 5, 7))
+    reference = np.kron(phi, np.eye(5)) @ m
+    assert dmrg._on_site(phi, m).shape == reference.shape
+    assert np.abs(dmrg._on_site(phi, m) - reference).max() <= 1e-14
+
+
 def test_uncoupled_superblock_energy_is_twice_block_energy():
     config = dmrg.DmrgConfig(local_dim=5, mass=0.7, target_length=4)
     h, phi = hc.oscillator_ops(config.site_frequency, 5)
@@ -91,7 +101,7 @@ def test_superblock_dense_agrees_with_matvec():
     config = dmrg.DmrgConfig(local_dim=3, mass=1.0, target_length=4)
     superblock = dmrg.Superblock(*hc.oscillator_ops(config.site_frequency, 3))
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(superblock.dim)
+    v = rng.standard_normal(superblock.block_dim ** 2)
     assert np.abs(superblock.dense() @ v - superblock.matvec(v)).max() <= 1e-12
 
 
@@ -108,7 +118,7 @@ def test_superblock_matvec_after_a_truncating_step():
                  - np.kron(edge, edge))
     superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     assert np.abs(superblock.dense() - reference).max() <= 1e-12
-    v = np.random.default_rng(1).standard_normal(superblock.dim)
+    v = np.random.default_rng(1).standard_normal(superblock.block_dim ** 2)
     assert np.abs(reference @ v - superblock.matvec(v)).max() <= 1e-12
 
 
@@ -185,7 +195,8 @@ def full_space_step(block, config):
     kept = min(config.kept_states, n)
     basis = rho.eigenvectors[:, :kept]
     kept_ham = basis.T @ enlarged.hamiltonian @ basis
-    edge = basis.T @ dmrg._edge_field(enlarged.edge_phi, n) @ basis
+    edge_field = np.kron(enlarged.edge_phi, np.eye(n // enlarged.edge_phi.shape[0]))
+    edge = basis.T @ edge_field @ basis
     # unlabelled: one diagonalisation of rho mixes parities in degenerate
     # multiplets, and this reference never splits into sectors
     truncated = dmrg.DmrgBlock(length=enlarged.length,
@@ -246,7 +257,8 @@ def test_blocks_conserve_parity_exactly(config, truncations):
         enlarged = dmrg._enlarge(block, config)
         p = enlarged.parity
         assert not enlarged.hamiltonian[np.not_equal.outer(p, p)].any()
-        edge = dmrg._edge_field(enlarged.edge_phi, enlarged.basis_size)
+        edge = np.kron(enlarged.edge_phi,
+                       np.eye(enlarged.basis_size // enlarged.edge_phi.shape[0]))
         assert not edge[np.equal.outer(p, p)].any()
         block, _ = dmrg.dmrg_step(block, config)
         m, parity, basis, labels, w, kept = truncations[-1]
@@ -334,7 +346,7 @@ def test_step_entropy_obeys_block_mirror_symmetry():
     assert abs(s_block - s_mirror) <= 1e-9
 
 
-def test_truncation_weight_matches_quantum_state_truncate():
+def test_truncation_weight_is_the_singular_value_tail():
     config = dmrg.DmrgConfig(local_dim=4, kept_states=5, mass=1.0, target_length=12)
     truncated, _ = dmrg.dmrg_step(empty_block(), config)
     block = dmrg._enlarge(truncated, config)  # basis now 4 * min(5,4) = 16
@@ -342,8 +354,8 @@ def test_truncation_weight_matches_quantum_state_truncate():
     _, psi = numerics.smallest_eigenpair(superblock.matvec,
                                          superblock_diagonal(superblock), tol=1e-13)
     n = block.basis_size
-    state = qs.BipartiteState(psi.reshape(n, n))
-    _, expected_weight = qs.truncate(state, config.kept_states)
+    s = np.linalg.svd(psi.reshape(n, n), compute_uv=False)
+    expected_weight = (s[config.kept_states:] ** 2).sum()
     _, iterate = dmrg.dmrg_step(truncated, config)
     assert iterate.kept == config.kept_states
     assert abs(iterate.truncation_weight - expected_weight) <= 1e-6 * expected_weight

@@ -276,37 +276,6 @@ def test_schmidt_reconstruction_and_spectrum():
 
 # --- truncation ------------------------------------------------------------------
 
-def fidelity(a, b):
-    """|<a|b>|^2 of two normalized states."""
-    return abs(np.vdot(a.coeff, b.coeff)) ** 2
-
-
-def test_fidelity_of_truncation_equals_kept_weight():
-    state = qs.random_state(6, 6, np.random.default_rng(7))
-    reduced, weight = qs.truncate(state, 3)
-    assert abs(fidelity(state, reduced) - (1.0 - weight)) <= 1e-10
-
-
-def test_truncate_full_rank_is_identity():
-    state = qs.random_state(4, 4, np.random.default_rng(8))
-    reduced, weight = qs.truncate(state, 4)
-    assert weight <= 1e-14
-    assert abs(fidelity(state, reduced) - 1.0) <= 1e-12
-
-
-def test_truncate_bell_to_product():
-    reduced, weight = qs.truncate(bell_state(), 1)
-    assert abs(weight - 0.5) <= 1e-12
-    assert abs(qs.schmidt(reduced)[1][0] - 1.0) <= 1e-12
-
-
-def test_truncate_out_of_range():
-    with pytest.raises(ValueError):
-        qs.truncate(bell_state(), 0)
-    with pytest.raises(ValueError):
-        qs.truncate(bell_state(), 3)
-
-
 def test_truncation_distance_basics():
     a = basis_state(2, 2, 0, 0)
     b = basis_state(2, 2, 1, 1)

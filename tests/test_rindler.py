@@ -330,7 +330,8 @@ def test_chart_rejects_a_mass_that_is_not_positive(mass):
         rindler.from_kruskal(1.0, 1.0, mass)
 
 
-@pytest.mark.parametrize("bad_r", [2.0, 1.0, math.nan], ids=["horizon", "interior", "nan"])
+@pytest.mark.parametrize("bad_r", [2.0, 1.0, math.nan, math.inf],
+                         ids=["horizon", "interior", "nan", "inf"])
 def test_one_bad_radius_rejects_the_whole_array(bad_r):
     r = np.linspace(2.5, 9.0, 7)
     r[4] = bad_r
@@ -339,12 +340,31 @@ def test_one_bad_radius_rejects_the_whole_array(bad_r):
 
 
 @pytest.mark.parametrize("side", ["u", "v"])
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
 def test_one_bad_kruskal_coordinate_rejects_the_whole_array(side, bad):
     coords = {"u": np.linspace(0.5, 3.0, 6), "v": np.linspace(1.0, 2.0, 6)}
     coords[side][2] = bad
     with pytest.raises(ValueError, match="exterior"):
         rindler.from_kruskal(coords["u"], coords["v"], 1.0)
+
+
+@pytest.mark.parametrize("bad_t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_one_non_finite_time_rejects_the_whole_array(bad_t):
+    t = np.zeros(7)
+    t[4] = bad_t
+    with pytest.raises(ValueError, match="finite"):
+        rindler.to_kruskal(np.linspace(2.5, 9.0, 7), t, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [2000.0, 2800.0])
+def test_round_trip_where_u_v_overflows(r):
+    # u v = 16 M^2 (r/2M - 1) e^{r/2M - 1} overflows at M = 1 from r = 1402.9
+    # on, while u = v = 4M sqrt(r/2M - 1) e^{(r/2M - 1)/2} stays finite
+    u, v = rindler.to_kruskal(r, 0.0, 1.0)
+    assert u == v and abs(u / (4.0 * math.sqrt(r / 2 - 1) * math.exp((r / 2 - 1) / 2)) - 1) <= 4e-16
+    assert rindler.from_kruskal(u, v, 1.0) == (r, 0.0)
 
 
 def test_lambert_w0_matches_mpmath():
