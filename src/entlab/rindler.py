@@ -146,7 +146,7 @@ def to_kruskal(r, t, mass: float):
     if not np.all((r > 2.0 * mass) & (r < np.inf)):
         raise ValueError(f"r not finite and outside the horizon r > 2M = {2 * mass}; "
                          "the chart covers the exterior branch only")
-    if not np.all(np.abs(t) < np.inf):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
     rho = r / (2.0 * mass)
     # the root of u v, taken factor by factor: u v itself overflows first
