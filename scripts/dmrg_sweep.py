@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the `dmrg` experiment over a grid of configs and print one JSON line
-per config: how it ended, what its solves cost, and where it kept a number
-of states other than min(kept_states, basis size).
+per config: how it ended, what its solves cost, where it kept a number
+of states other than min(kept_states, basis size), and the weight it
+discarded.
 
     PYTHONPATH=src python3 scripts/dmrg_sweep.py [--tolerances 1e-10 1e-13]
         [--masses 0 0.1 1 10 1000] [--local-dims 2 4 8 12] [--kept 4 8 16 32]
@@ -23,6 +24,8 @@ experiment's own runner and check.  A line holds:
 - `energy_rel_err` and `entropy_rel_err`: |DMRG - oracle| / |oracle| at
   the last length, against the Gaussian oracle (null after an error, and
   the entropy's also where the oracle entropy is 0);
+- `truncation_weight`: the weight discarded at the last length, the sum of
+  the squared Schmidt values past the kept ones (null after an error);
 - `seconds`: the run's wall time.
 
 The default grid (80 configs at one tolerance) takes about 7 s, and
@@ -90,8 +93,9 @@ def _sweep_one(params: dict) -> dict:
                   solve_applications=solve_applications, eigsh_calls=eigsh_calls, kept=kept,
                   kept_off=[[i + 1, k, e] for i, (k, e) in enumerate(zip(kept, expected))
                             if k != e],
-                  energy_rel_err=None, entropy_rel_err=None)
+                  energy_rel_err=None, entropy_rel_err=None, truncation_weight=None)
     if table is not None:
+        record["truncation_weight"] = table["truncation_weight"][-1]
         for name, value, oracle in (("energy", "ground_energy", "oracle_energy"),
                                     ("entropy", "half_chain_entropy", "oracle_entropy")):
             truth = table[oracle][-1]

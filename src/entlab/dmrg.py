@@ -3,16 +3,16 @@ chain with truncated local Fock spaces.
 
 A run starts from the empty block.  Each step adjoins one site at the
 block's origin-facing edge, solves the enlarged block and its mirror image as
-a superblock, and truncates the block to the dominant eigenstates of its
-reduced density matrix.  No free sites are inserted between block and mirror.
-Each solve after the first starts from McCulloch's prediction of its ground
-state from the two steps before it (arXiv:0804.2509; White, PRL 77, 3633,
-1996).
+a superblock, and truncates the block to its dominant Schmidt vectors.  No
+free sites are inserted between block and mirror.  Each solve after the
+first starts from McCulloch's prediction of its ground state from the two
+steps before it (arXiv:0804.2509; White, PRL 77, 3633, 1996).
 
 H = sum pi^2/2 + phi^T V phi/2 is even under phi -> -phi, so every block
 basis state carries a Z2 parity, the block Hamiltonian conserves it and the
 edge field flips it (White, PRB 48, 10345, 1993).  The solve and the
-truncation work sector by sector.
+truncation work sector by sector.  The ground state M is symmetric, so its
+eigenpairs are the Schmidt vectors and signed Schmidt values of the cut.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import numerics
 from .harmonic_chain import oscillator_ops
-from .quantum_state import BipartiteState, entropy_from_probs, reduced_density_left
+from .quantum_state import entropy_from_probs
+from .quantum_state import reduced_density_left  # bench/spans.py wraps it until ROADMAP item 2
 
 __all__ = [
     "DmrgConfig",
@@ -85,11 +86,11 @@ class DmrgBlock:
     kron(edge_phi, I).  That factor is the bare site in an enlarged block,
     and the whole basis in a truncated or the empty one.  All matrices are
     real.  parity labels each basis state +1 or -1 under phi -> -phi; a
-    truncated block lists its states in descending weight.  ground_state,
-    in a truncated block, is the superblock ground state it was cut from,
-    as a (block x mirror) matrix in the kept basis; run's empty block has
-    [[1]].
-    prediction, in a truncated block cut from a block with a ground state,
+    truncated block lists its states in descending weight.  schmidt_values,
+    in a truncated block, are the signed Schmidt values of its kept states
+    in the superblock ground state it was cut from, which is
+    diag(schmidt_values) in the kept basis; run's empty block has [1.0].
+    prediction, in a truncated block cut from a block with Schmidt values,
     is a factor F of the next step's predicted ground state F F^T, over
     the enlarged basis (new site) x (this block); see _prediction.
     """
@@ -98,7 +99,7 @@ class DmrgBlock:
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
     parity: np.ndarray
-    ground_state: np.ndarray | None = field(default=None, compare=False)
+    schmidt_values: np.ndarray | None = field(default=None, compare=False)
     prediction: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -280,37 +281,30 @@ def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
 
 
 def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
-    """The kept basis of a block from the superblock ground state M = M_ee +
-    M_oo: the min(kept_states, n) dominant eigenvectors of rho_L = M M^T,
-    which is block diagonal too, so each sector is diagonalised alone and
-    its weights scaled by ||M_ss||^2.  A sector whose block of M is zero
-    adds zero-weight states.
+    """The kept basis of a block from the symmetric superblock ground state
+    M = M_ee + M_oo: the min(kept_states, n) eigenvectors of M with the
+    largest weights lambda^2, the eigenvalues of rho_L = M^2.  Each sector
+    block M_ss is diagonalised alone; a zero block gives zero eigenvalues.
 
-    Returns (basis, its parity, all weights descending, number kept): the
-    basis columns are in the block basis, in descending weight.
+    Returns (basis, its parity, every eigenvalue lambda in descending
+    lambda^2, number kept): the basis columns are in the block basis, in
+    that order.
     """
-    weights, vectors, labels = [], [], []
+    values, vectors, labels = [], [], []
     for sign in (1, -1):
         index = np.flatnonzero(parity == sign)
-        block = matrix[np.ix_(index, index)]
+        lam, sector = np.linalg.eigh(matrix[np.ix_(index, index)])
         vec = np.zeros((matrix.shape[0], index.size))
-        if np.any(block):
-            # M is real, so rho and its eigenvectors are; weights come descending
-            rho = reduced_density_left(BipartiteState(block))
-            weights.append(rho.eigenvalues * np.vdot(block, block))
-            vec[index] = rho.eigenvectors
-        else:
-            weights.append(np.zeros(index.size))
-            vec[index] = np.eye(index.size)
+        vec[index] = sector
+        values.append(lam)
         vectors.append(vec)
         labels.append(np.full(index.size, sign))
-    order = np.argsort(-np.concatenate(weights), kind="stable")
-    # a density matrix has no negative eigenvalue: those eigh returns are rounding
-    w = np.clip(np.concatenate(weights)[order], 0.0, None)
+    lam = np.concatenate(values)
+    order = np.argsort(-lam ** 2, kind="stable")
 
-    kept = min(kept_states, w.size)
+    kept = min(kept_states, lam.size)
     chosen = order[:kept]
-    return np.hstack(vectors)[:, chosen], np.concatenate(labels)[chosen], w, kept
+    return np.hstack(vectors)[:, chosen], np.concatenate(labels)[chosen], lam[order], kept
 
 
 def _prediction(rotated: np.ndarray, previous: np.ndarray | None) -> np.ndarray | None:
@@ -318,36 +312,35 @@ def _prediction(rotated: np.ndarray, previous: np.ndarray | None) -> np.ndarray 
     (arXiv:0804.2509), as a factor F of it, F F^T.
 
     rotated = U^T M is the ground state just solved with its block side in
-    the kept basis U, and previous the ground state Lambda of the step
-    before, in the basis of the block this step enlarged.  The next step's
-    new block site is the mirror's edge site of M, and the mirror block
-    behind that site is carried over to the other side through Lambda^-1,
-    so the prediction is T Lambda^-1 T^T, T = U^T M with rows (site,
-    kept).  F = T V |w|^-1/2 from Lambda = V diag(w) V^T, dropping the w at
-    or below _PREDICTION_CUTOFF times the largest |w|.  None without a
-    previous ground state.
+    the kept basis U, and previous the Schmidt values lambda of the step
+    before, whose ground state is diag(lambda) in the basis of the block
+    this step enlarged.  The next step's new block site is the mirror's edge
+    site of M, and the mirror block behind that site is carried over to the
+    other side through diag(lambda)^-1, so the prediction is
+    T diag(lambda)^-1 T^T, T = U^T M with rows (site, kept).
+    F = T |lambda|^-1/2 columnwise, dropping the lambda at or below
+    _PREDICTION_CUTOFF times the largest |lambda|.  None without lambda.
     """
     if previous is None:
         return None
     kept, before = rotated.shape[0], previous.shape[0]
     t = rotated.reshape(kept, -1, before).transpose(1, 0, 2).reshape(-1, before)
-    w, v = np.linalg.eigh(previous)
-    w = np.abs(w)
+    w = np.abs(previous)
     live = w > _PREDICTION_CUTOFF * w.max()
-    return t @ (v[:, live] / np.sqrt(w[live]))
+    return t[:, live] / np.sqrt(w[live])
 
 
 def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIterate]:
     """One growth step: adjoin a site to the block, solve the superblock of
-    the enlarged block and its mirror, and truncate the enlarged block to the
-    kept_states dominant density-matrix eigenstates.
+    the enlarged block and its mirror, and truncate the enlarged block to its
+    kept_states dominant Schmidt vectors.
 
     The solve starts from the block's prediction when it has one, and from
     the unit vector at the sector's smallest diagonal entry otherwise.
-    Returns the truncated block, which carries the ground state and, when
-    the block had one, the prediction for the next step, and the iterate
-    record for the superblock just solved (chain length 2 x enlarged block
-    length).  Raises EigensolverError when the ground state misses the
+    Returns the truncated block, which carries the kept Schmidt values and,
+    when the block had them, the prediction for the next step, and the
+    iterate record for the superblock just solved (chain length 2 x
+    enlarged block length).  Raises EigensolverError when the ground state misses the
     residual contract on the full superblock.
     """
     enlarged = _enlarge(block, config)
@@ -371,15 +364,16 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
             f"full-superblock residual {residual:.3e} above tolerance "
             f"{config.gs_tolerance:.3e}", 1)
 
-    basis, parity, w, kept = _truncate(matrix, enlarged.parity, config.kept_states)
+    basis, parity, lam, kept = _truncate(matrix, enlarged.parity, config.kept_states)
+    w = lam ** 2
     kept_ham = basis.T @ enlarged.hamiltonian @ basis
     rotated = basis.T @ matrix
     truncated = DmrgBlock(length=enlarged.length,
                           hamiltonian=0.5 * (kept_ham + kept_ham.T),
                           edge_phi=basis.T @ _on_site(enlarged.edge_phi, basis),
                           parity=parity,
-                          ground_state=rotated @ basis,
-                          prediction=_prediction(rotated, block.ground_state))
+                          schmidt_values=lam[:kept],
+                          prediction=_prediction(rotated, block.schmidt_values))
     iterate = DmrgIterate(chain_length=2 * enlarged.length,
                           ground_energy=float(energy),
                           half_chain_entropy=entropy_from_probs(w),
@@ -394,7 +388,7 @@ def run(config: DmrgConfig) -> list[DmrgIterate]:
     sites."""
     block = DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)),
                       edge_phi=np.zeros((1, 1)), parity=np.ones(1, dtype=int),
-                      ground_state=np.ones((1, 1)))
+                      schmidt_values=np.ones(1))
     iterates: list[DmrgIterate] = []
     for _ in range(config.target_length // 2):
         block, iterate = dmrg_step(block, config)

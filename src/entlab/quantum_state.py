@@ -61,13 +61,11 @@ class BipartiteState:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace matrix (or stack); each
-    is validated on construction (tolerance 1e-12) from its one
-    eigendecomposition, which it keeps: `eigenvalues` descending and
-    `eigenvectors` the matching orthonormal columns.  All are read-only."""
+    is validated on construction (tolerance 1e-12) from its eigenvalues,
+    which it keeps descending in `eigenvalues`.  Both are read-only."""
 
     entries: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho = np.array(self.entries)
@@ -79,11 +77,10 @@ class DensityMatrix:
         deviation = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
         if not deviation <= _TOL:
             raise ValueError(f"trace differs from 1 by {deviation:.3e}, beyond 1e-12")
-        values, vectors = np.linalg.eigh(rho)
+        values = np.linalg.eigvalsh(rho)
         if not values.min() >= -_TOL:
             raise ValueError("density matrix has eigenvalue below -1e-12")
-        for name, array in (("entries", rho), ("eigenvalues", values[..., ::-1]),
-                            ("eigenvectors", vectors[..., ::-1])):
+        for name, array in (("entries", rho), ("eigenvalues", values[..., ::-1])):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 

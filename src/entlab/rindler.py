@@ -139,7 +139,7 @@ def to_kruskal(r, t, mass: float):
     """Chart map (r, t) -> (u, v) of the exterior of a black hole of mass M,
     elementwise over scalars or arrays: u v = 16 M^2 (r/2M - 1) exp(r/2M - 1),
     u/v = exp(t/2M).  Raises ValueError unless M > 0, every r is finite and
-    r > 2M, and every t is finite."""
+    r > 2M, every t is finite, and every u and v is below the float range."""
     if not mass > 0.0:  # written so that NaN fails, as is every check below
         raise ValueError("mass must be positive")
     r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
@@ -149,9 +149,13 @@ def to_kruskal(r, t, mass: float):
     if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
     rho = r / (2.0 * mass)
-    # the root of u v, taken factor by factor: u v itself overflows first
-    root = 4.0 * mass * np.sqrt(rho - 1.0) * np.exp(0.5 * (rho - 1.0))
-    return root * np.exp(t / (4.0 * mass)), root * np.exp(-t / (4.0 * mass))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN, rejected below
+        # the root of u v, taken factor by factor: u v itself overflows first
+        root = 4.0 * mass * np.sqrt(rho - 1.0) * np.exp(0.5 * (rho - 1.0))
+        u, v = root * np.exp(t / (4.0 * mass)), root * np.exp(-t / (4.0 * mass))
+    if not np.all((u < np.inf) & (v < np.inf)):
+        raise ValueError("u or v overflows the float range")
+    return u, v
 
 
 def lambert_w0(z):

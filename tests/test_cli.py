@@ -643,9 +643,12 @@ def test_dmrg_sweep_prints_one_line_per_config(capsys):
     assert len(passed["solve_applications"]) == 10 and min(passed["solve_applications"]) > 0
     assert passed["applications"] == sum(passed["solve_applications"])
     assert passed["energy_rel_err"] < 1e-8
+    # at mass 1, kept 8, the tail left at length 20 is about 1.7e-10
+    assert 1e-10 < passed["truncation_weight"] < 3e-10
     # at mass 1e8 the first solve misses 1e-10 after one Lanczos attempt
     assert failed["exit"] == 4 and "1 Lanczos attempt" in failed["error"]
     assert failed["eigsh_calls"] == [1] and failed["kept"] == []
+    assert failed["truncation_weight"] is None
     assert failed["solve_applications"] == [failed["applications"]]
     # the counting wrappers are taken off again
     assert (numerics.smallest_eigenpair, numerics.eigsh, dmrg.dmrg_step) == (solve, eigsh, step)

@@ -110,18 +110,17 @@ def test_stacked_state_normalizes_each_matrix_to_its_plain_bits(imaginary):
 def test_real_state_stays_real_and_complex_stays_complex():
     real = qs.BipartiteState(np.arange(1, 7).reshape(2, 3))
     assert real.coeff.dtype == np.float64
-    assert qs.reduced_density_left(real).eigenvectors.dtype == np.float64
+    assert qs.reduced_density_left(real).entries.dtype == np.float64
     assert qs.BipartiteState(np.eye(2) * 1j).coeff.dtype == np.complex128
     assert qs.random_state(2, 3, np.random.default_rng(1)).coeff.dtype == np.complex128
 
 
-def test_density_matrix_keeps_its_eigenpairs():
+def test_density_matrix_keeps_its_eigenvalues():
     for rho in (qs.reduced_density_left(qs.random_state(5, 3, np.random.default_rng(2))),
                 qs.reduced_density_right(qs.BipartiteState(np.arange(12.0).reshape(3, 4)))):
-        w, u = rho.eigenvalues, rho.eigenvectors
-        assert np.all(np.diff(w) <= 0.0)
-        assert np.abs((u * w) @ u.conj().T - rho.entries).max() <= 1e-12
-        for array in (rho.entries, w, u):
+        w = rho.eigenvalues
+        assert np.array_equal(w, np.linalg.eigvalsh(rho.entries)[::-1])
+        for array in (rho.entries, w):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
@@ -427,16 +426,16 @@ def test_growth_draws_unitaries_in_entry_bounded_batches(qr_calls):
 
 def test_symmetry_makes_one_stacked_eigh_per_shape_and_batch(monkeypatch):
     shapes = []
-    eigh = np.linalg.eigh
+    eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     experiments.EXPERIMENTS["symmetry"].run({"trials": 300, "max_dim": 3},
                                             np.random.default_rng(23))
-    # 300 trials in 3 x 3 slots fit one batch: one stacked eigh for each of
+    # 300 trials in 3 x 3 slots fit one batch: one stacked eigvalsh for each of
     # the two reduced density matrices, whatever the trials' shapes
     assert shapes == [(300, 3, 3)] * 2
 

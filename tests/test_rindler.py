@@ -367,6 +367,20 @@ def test_round_trip_where_u_v_overflows(r):
     assert rindler.from_kruskal(u, v, 1.0) == (r, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_point_whose_u_overflows_is_rejected_and_its_neighbours_round_trip():
+    # at M = 1, r = 2800, t = 30 the true u is 9.6e305 e^{7.5}, about 1.7e309
+    with pytest.raises(ValueError, match="overflows"):
+        rindler.to_kruskal(2800.0, 30.0, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        rindler.to_kruskal([4.0, 2800.0, 9.0], [0.0, 30.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        rindler.to_kruskal(3000.0, 0.0, 1.0)  # here the root of u v overflows
+    for t in (-5.0, 0.0):
+        u, v = rindler.to_kruskal(2800.0, t, 1.0)
+        assert rindler.from_kruskal(u, v, 1.0) == (2800.0, t)
+
+
 def test_lambert_w0_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
     z = np.concatenate([np.geomspace(1e-300, 1e30, 600), np.linspace(0.01, 10.0, 400)])
