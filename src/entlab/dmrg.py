@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics
 from .harmonic_chain import oscillator_ops
 from .quantum_state import entropy_from_probs
-from .quantum_state import reduced_density_left  # bench/spans.py wraps it until ROADMAP item 2
+from .quantum_state import reduced_density_left  # bench/spans.py wraps it until ROADMAP item 1
 
 __all__ = [
     "DmrgConfig",

@@ -177,8 +177,6 @@ def _run_dmrg(params, rng):
 
 
 def _check_dmrg(table, params):
-    # no division: the oracle entropy is 0.0 where P holds no coupling across
-    # the cut, as the float64 covariance of the chain at mass 1e8 does
     energy, entropy = table["oracle_energy"][-1], table["oracle_entropy"][-1]
     energy_err = abs(table["ground_energy"][-1] - energy)
     entropy_err = abs(table["half_chain_entropy"][-1] - entropy)
@@ -248,6 +246,11 @@ def _extend(table, *columns):
 def _run_kruskal(params, rng):
     table = {key: [] for key in ("status", "mass", "r", "t", "u", "v", "uv", "rel_error")}
     masses = params["masses"]
+    # M at which u v = 16 M^2 (rho - 1) e^{rho - 1} is a normal float for rho in [1 + 1e-8, 5]
+    low, high = np.sqrt([np.finfo(float).tiny / 1.6e-7 / np.exp(1e-8),
+                         np.finfo(float).max / 64.0 / np.exp(4.0)])
+    if not all(low <= mass <= high for mass in masses):
+        raise ValueError(f"masses must lie in [{low:.4g}, {high:.4g}], where uv is a normal float")
     base, extra = divmod(params["points"], max(1, len(masses)))
     for i, mass in enumerate(masses):
         per_mass = base + (i < extra)  # `points` round trips in all

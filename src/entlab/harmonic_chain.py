@@ -76,14 +76,18 @@ def build_potential(n_sites: int, mass: float) -> np.ndarray:
 
 def ground_state_covariance(potential: np.ndarray) -> GaussianGroundState:
     """Exact ground-state covariances from the spectral square roots of the
-    potential."""
-    values, q = numerics.sym_eig(potential)
-    if values[0] <= 0.0:
-        raise ValueError(
-            f"potential is not positive definite (min eigenvalue "
-            f"{values[0]:.3e})")
-    x = 0.5 * (q * values ** -0.5) @ q.T
-    p = 0.5 * (q * values ** 0.5) @ q.T
+    potential V = a I - T, a its largest diagonal entry, T = Q diag(t) Q^T, in
+    a form in which nothing cancels: P = [sqrt(a) I - Q diag(t / (sqrt(w) +
+    sqrt(a))) Q^T] / 2, X = [I / sqrt(a) + Q diag(t / (sqrt(a w) (sqrt(w) +
+    sqrt(a)))) Q^T] / 2, with w = a - t the eigenvalues of V."""
+    v = np.asarray(potential, dtype=float)
+    a, eye = float(np.max(np.diagonal(v))), np.eye(*v.shape)  # sym_eig checks the shape
+    t, q = numerics.sym_eig(a * eye - v)  # t ascending: V's smallest eigenvalue is a - t[-1]
+    if not a - t[-1] > 0.0:
+        raise ValueError(f"potential is not positive definite (min eigenvalue {a - t[-1]:.3e})")
+    root_a, root_w = np.sqrt(a), np.sqrt(a - t)
+    x = 0.5 * (eye / root_a + (q * (t / (root_a * root_w * (root_w + root_a)))) @ q.T)
+    p = 0.5 * (root_a * eye - (q * (t / (root_w + root_a))) @ q.T)
     return GaussianGroundState(X=0.5 * (x + x.T), P=0.5 * (p + p.T))
 
 
@@ -166,7 +170,7 @@ def oscillator_ops(omega: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if d < 2:
         raise ValueError("local dimension must be >= 2")
-    if omega <= 0.0:
+    if not omega > 0.0:  # written so that NaN fails
         raise ValueError("frequency must be positive")
     n = np.arange(d)
     a = np.diag(np.sqrt(n[1:].astype(float)), 1)
@@ -197,7 +201,8 @@ def fock_ground_state(potential: np.ndarray, d: int) -> tuple[BipartiteState, fl
         raise ValueError(
             f"Fock basis of size {d}^{n} = {size} exceeds limit {DENSE_LIMIT}")
 
-    ops = [oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
+    with np.errstate(invalid="ignore"):  # a negative V_ii: NaN, which oscillator_ops rejects
+        ops = [oscillator_ops(float(np.sqrt(v[i, i])), d) for i in range(n)]
     bonds = [(i, j, v[i, j]) for i in range(n) for j in range(i + 1, n) if v[i, j] != 0.0]
 
     def on_site(op, site, psi):

@@ -30,6 +30,7 @@ __all__ = [
 BETA = 2.0 * np.pi  # inverse temperature of the half-space state
 # A(ell) ~ e^{-pi ell/2} leaves the normal double range near ell = 451
 _ELL_MAX = 400.0
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -138,61 +139,49 @@ def geometric_entropy(spectrum: AngularSpectrum) -> float:
 def to_kruskal(r, t, mass: float):
     """Chart map (r, t) -> (u, v) of the exterior of a black hole of mass M,
     elementwise over scalars or arrays: u v = 16 M^2 (r/2M - 1) exp(r/2M - 1),
-    u/v = exp(t/2M).  Raises ValueError unless M > 0, every r is finite and
-    r > 2M, every t is finite, and every u and v is below the float range."""
+    u/v = exp(t/2M).  Raises ValueError unless M > 0, every r > 2M, and every
+    u and v is a finite normal float, which a non-finite r or t is not."""
     if not mass > 0.0:  # written so that NaN fails, as is every check below
         raise ValueError("mass must be positive")
     r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
-    if not np.all((r > 2.0 * mass) & (r < np.inf)):
-        raise ValueError(f"r not finite and outside the horizon r > 2M = {2 * mass}; "
-                         "the chart covers the exterior branch only")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t must be finite")
     rho = r / (2.0 * mass)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN at r < 2M or inf * 0, rejected below
         # the root of u v, taken factor by factor: u v itself overflows first
         root = 4.0 * mass * np.sqrt(rho - 1.0) * np.exp(0.5 * (rho - 1.0))
         u, v = root * np.exp(t / (4.0 * mass)), root * np.exp(-t / (4.0 * mass))
-    if not np.all((u < np.inf) & (v < np.inf)):
-        raise ValueError("u or v overflows the float range")
+    # a subnormal u or v has lost digits: the round trip would miss by up to 1e-5
+    if not np.all((r > 2.0 * mass) & (u >= _TINY) & (u < np.inf) & (v >= _TINY) & (v < np.inf)):
+        raise ValueError(f"not in the exterior r > 2M = {2 * mass}, or r or t not finite, "
+                         "or u or v overflows or underflows the float range")
     return u, v
 
 
-def lambert_w0(z):
-    """Principal branch W_0(z) of the Lambert W function, w e^w = z, for
-    z >= 0, elementwise.
-
-    Eight steps of Halley's iteration (Corless et al., Adv. Comput. Math. 5,
-    329, 1996) on w - z e^{-w}, which cannot overflow, from w = ln(1 + z);
-    2.2e-16 relative against mpmath on z in [0, 1e30], and W_0(inf) = inf.
-    """
-    z = np.asarray(z, dtype=float)
-    w = np.log1p(z)
-    with np.errstate(invalid="ignore"):  # inf - inf at z = inf
-        for _ in range(8):
-            f = w - z * np.exp(-w)
-            w = w - f / (w + 1.0 - 0.5 * (w + 2.0) * f / (w + 1.0))
-    return np.where(z == np.inf, z, w)
+def _lambert_w0(log_z, z):
+    """Principal branch W_0 of w e^w = z > 0, elementwise, from ln z, a float
+    where z is not: four Newton steps on y + e^y = ln z, y = ln w, from
+    ln ln z above ln z = 1 and from ln z - 1 below it, one on w + ln w = ln z,
+    and one on w e^w = z where z is finite, which restores the last ulp."""
+    y = np.where(log_z > 1.0, np.log(np.maximum(log_z, 1.0)), log_z - 1.0)
+    for _ in range(4):
+        y = y - (y + np.exp(y) - log_z) / (1.0 + np.exp(y))
+    w = np.exp(y) * (1.0 + log_z - y) / (1.0 + np.exp(y))
+    return np.where(z < np.inf, w - (w - z * np.exp(-w)) / (1.0 + w), w)
 
 
 def from_kruskal(u, v, mass: float):
-    """Inverse chart map (u, v) -> (r, t) on the exterior branch, elementwise,
-    via the Lambert W function.  Raises ValueError unless M > 0 and every
-    u and v is finite and positive."""
+    """Inverse chart map (u, v) -> (r, t) on the exterior branch, elementwise:
+    r = 2M (1 + W_0(u v / 16 M^2)) and t = 2M ln(u/v).  Raises ValueError
+    unless M > 0 and every u and v is finite and positive."""
     if not mass > 0.0:
         raise ValueError("mass must be positive")
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     if not np.all((u > 0.0) & (u < np.inf) & (v > 0.0) & (v < np.inf)):
         raise ValueError("exterior branch requires finite u > 0 and v > 0")
-    with np.errstate(over="ignore"):
-        z = u * v / (16.0 * mass * mass)
-    w, over = lambert_w0(z), np.isinf(z)
-    if over.any():
-        # W_0 from ln z: Newton on w + ln w = ln z from w = ln z; against
-        # mpmath, 2.2e-16 relative after 3 steps at ln z = 18, 2 at ln z > 450
-        log_z = (np.log(u) + np.log(v) - np.log(16.0 * mass * mass))[over]
-        w_over = log_z
-        for _ in range(4):
-            w_over = w_over * (1.0 + log_z - np.log(w_over)) / (1.0 + w_over)
-        w[over] = w_over
-    return 2.0 * mass * (1.0 + w), 2.0 * mass * np.log(u / v)
+    log_u, log_v = np.log(u), np.log(v)
+    # inf, inf * 0 = NaN and ln 0 where z or u/v leaves the float range: ln z and
+    # ln u - ln v, which cannot cancel where |ln(u/v)| >= 700, stand in there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = _lambert_w0(log_u + log_v - 2.0 * np.log(4.0 * mass),
+                        (u / (4.0 * mass)) * (v / (4.0 * mass)))
+        log_ratio = np.where(np.abs(log_u - log_v) < 700.0, np.log(u / v), log_u - log_v)
+    return 2.0 * mass * (1.0 + w), 2.0 * mass * log_ratio

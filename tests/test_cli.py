@@ -524,6 +524,25 @@ def test_kruskal_points_is_the_total_number_of_round_trips(tmp_path):
     assert statuses.count("ok") == 2 and statuses.count("rejected") == 3
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass, code", [
+    (1e-160, 2), (3.7e-151, 2), (3.8e-151, 0), (1.0, 0), (2.2e152, 0), (2.3e152, 2), (1e154, 2),
+])
+def test_kruskal_takes_the_masses_whose_uv_is_a_normal_float(tmp_path, capsys, mass, code):
+    # u v is 1.6e-7 M^2 at the nearest probe and 64 e^4 M^2 at the farthest draw:
+    # at 1e-160 it underflows, and at 1e154 the draws' u v overflows
+    cfg = tmp_path / "kr.cfg"
+    cfg.write_text(f"experiment = kruskal\npoints = 200\nmasses = {mass!r}\n")
+    out = tmp_path / "kr.json"
+    assert run_main("--config", cfg, "--out", out, "--format", "json") == code
+    if code:
+        assert "error: masses must lie in [3.729e-151, 2.268e+152]" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        uv = [row["uv"] for row in json.loads(out.read_text())["rows"] if row["uv"] is not None]
+        assert min(uv) >= np.finfo(float).tiny and max(uv) < np.inf
+
+
 def test_geom_entropy_without_regulators_fails_check(tmp_path):
     cfg = tmp_path / "ge.cfg"
     cfg.write_text("experiment = geom-entropy\nepsilons =\n")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -148,14 +149,18 @@ def chain_entropy_mpmath(mpmath, n_sites, mass, cut):
 
 
 @pytest.mark.parametrize("mass, bound", [
-    (0.0, 5e-14),  # measured 1.4e-14
-    (1.0, 1e-14),  # measured 1.8e-15
-    (100.0, 5e-11),  # measured 9.1e-12
-    (1000.0, 3e-9),  # measured 6.8e-10, the limit of the float64 P
-], ids=["mass-0", "mass-1", "mass-100", "mass-1000"])
+    (0.0, 5e-14),  # measured 7.8e-15
+    (1.0, 1e-14),  # measured 3.1e-15
+    (100.0, 1e-13),  # measured 3.3e-15
+    (1000.0, 1e-13),  # measured 1.3e-15
+    (1e4, 1e-13),  # measured 5.6e-16
+    (1e6, 1e-13),  # measured 1.1e-15
+    (1e8, 1e-13),  # measured 2.2e-16; P's off-diagonal is 5e-17 of its diagonal
+], ids=["mass-0", "mass-1", "mass-100", "mass-1000", "mass-1e4", "mass-1e6", "mass-1e8"])
 def test_block_entropy_matches_mpmath(mass, bound):
+    # 120 digits: at mass 1e8, nu_k - 1/2 is about 1e-33
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
+    with mpmath.workdps(120):
         reference = float(chain_entropy_mpmath(mpmath, 20, mass, 10))
     gs = hc.ground_state_covariance(hc.build_potential(20, mass))
     assert abs(hc.block_entropy(gs, range(10)) / reference - 1.0) <= bound
@@ -250,6 +255,21 @@ def test_fock_ground_state_is_the_lowest_level(n, d):
         lowest = np.linalg.eigvalsh(dense_fock_hamiltonian(v, d))[0]
         _, energy = hc.fock_ground_state(v, d)
         assert abs(energy - lowest) <= 1e-10 * lowest
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_oscillator_ops_rejects_a_frequency_that_is_not_positive(omega):
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        hc.oscillator_ops(omega, 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fock_rejects_a_negative_self_frequency_squared():
+    v = hc.build_potential(2, 1.0)
+    v[1, 1] = -3.0
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        hc.fock_ground_state(v, d=4)
 
 
 def test_fock_rejects_oversized_basis_and_bad_cutoff():

@@ -381,14 +381,64 @@ def test_point_whose_u_overflows_is_rejected_and_its_neighbours_round_trip():
         assert rindler.from_kruskal(u, v, 1.0) == (2800.0, t)
 
 
-def test_lambert_w0_matches_mpmath():
+@pytest.mark.filterwarnings("error")
+def test_w0_solve_matches_mpmath():
+    # 1 + W_0, the factor of r, over every ln z the chart can meet, and W_0
+    # itself, which the last step on w e^w = z takes to the last ulp
     mpmath = pytest.importorskip("mpmath")
-    z = np.concatenate([np.geomspace(1e-300, 1e30, 600), np.linspace(0.01, 10.0, 400)])
+    log_z = np.concatenate([np.linspace(-3000.0, 1500.0, 901), np.linspace(-5.0, 5.0, 201)])
+    z = np.geomspace(1e-30, 1e30, 601)
     with mpmath.workdps(40):
+        one_plus = np.array([float(1 + mpmath.lambertw(mpmath.exp(x))) for x in log_z])
         reference = np.array([float(mpmath.lambertw(mpmath.mpf(x))) for x in z])
-    assert np.abs(rindler.lambert_w0(z) / reference - 1.0).max() <= 5e-16
-    assert rindler.lambert_w0(0.0) == 0.0
-    assert rindler.lambert_w0(np.inf) == np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # z = inf: the last step is skipped
+        w = rindler._lambert_w0(log_z, np.exp(log_z))
+    assert np.abs((1.0 + w) / one_plus - 1.0).max() <= 4.4e-16
+    assert np.abs(rindler._lambert_w0(np.log(z), z) / reference - 1.0).max() <= 5e-16
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1500.0, -1500.0])
+def test_round_trip_where_u_over_v_leaves_the_float_range(t):
+    # at M = 1, u/v = e^{t/2M} overflows from |t| = 1419.6 on
+    back_r, back_t = rindler.from_kruskal(*rindler.to_kruskal(4.0, t, 1.0), 1.0)
+    assert abs(back_r / 4.0 - 1.0) <= 4e-16 and abs(back_t / t - 1.0) <= 4e-16
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass", [1e-300, 1e-150, 1e-3, 1.0, 1.5, 1e150])
+def test_round_trip_at_any_mass(mass):
+    # at M = 1e-300, 16 M^2 underflows to 0 and u v / 16 M^2 is NaN, while
+    # ln z = ln u + ln v - 2 ln 4M is a float at every mass
+    rng = np.random.default_rng(11)
+    r = 2 * mass + 8 * mass * (1.0 - rng.random(500))  # (2M, 10M]
+    t = -10 * mass + 20 * mass * rng.random(500)
+    back_r, back_t = rindler.from_kruskal(*rindler.to_kruskal(r, t, mass), mass)
+    assert np.abs(back_r / r - 1.0).max() <= 1e-10
+    assert np.abs(back_t - t).max() <= 1e-10 * max(1.0, np.abs(t).max())
+
+
+@pytest.mark.parametrize("mass", [1e-300, 1e-150, 1e-3, 1.0, 1.5, 1e150])
+def test_radius_matches_mpmath_at_any_mass(mass):
+    # r up to 1400M, where u v / 16 M^2 overflows; measured 1.5e-16
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    rho = np.concatenate([1.0 + 10.0 ** -rng.uniform(1.0, 15.0, 20), 1.0 + 699.0 * rng.random(20)])
+    u, v = rindler.to_kruskal(2 * mass * rho, mass * rng.uniform(-10.0, 10.0, rho.size), mass)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mass)
+        reference = np.array([float(2 * m * (1 + mpmath.lambertw(
+            mpmath.mpf(a) * mpmath.mpf(b) / (16 * m * m)).real)) for a, b in zip(u, v)])
+    assert np.abs(rindler.from_kruskal(u, v, mass)[0] / reference - 1.0).max() <= 4.4e-16
+
+
+@pytest.mark.parametrize("t", [2.4e-298, -1.5e-298, -1.9e-298], ids=["v-zero", "u-1e-316", "u-1e-320"])
+def test_point_whose_u_or_v_underflows_is_rejected(t):
+    # at M = 1e-300, r = 3M, u and v are 3.6e-300 e^{+-t/4M}: at t = 240M, v is
+    # about 3e-326 and rounds to 0; at -150M and -190M, u is subnormal, 1.9e-316 and
+    # 8.5e-321, and the round trip would miss r by 1e-9 and 3e-5
+    with pytest.raises(ValueError, match="underflows"):
+        rindler.to_kruskal(3e-300, t, 1e-300)
 
 
 @pytest.mark.filterwarnings("error")
