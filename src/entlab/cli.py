@@ -265,14 +265,8 @@ def _resolve_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = run_experiment(config)
-    except ValueError as exc:
+        report = run_experiment(_resolve_config(args))
+    except ValueError as exc:  # a UsageError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
@@ -287,8 +281,8 @@ def main(argv=None) -> int:
 
     for name, ok in report.checks.items():
         print(f"check {name}: {'pass' if ok else 'FAIL'}")
-    print(f"{config.experiment}: {'PASS' if report.passed else 'FAIL'} "
-          f"({report.row_count} rows -> {config.output_path})")
+    print(f"{report.config.experiment}: {'PASS' if report.passed else 'FAIL'} "
+          f"({report.row_count} rows -> {report.config.output_path})")
     print(f"wall clock: {report.wall_clock_s:.3f} s", file=sys.stderr)
     return 0 if report.passed else 1
 

@@ -56,11 +56,6 @@ class DmrgConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.local_dim < 2:
             raise ValueError("local_dim must be >= 2")
-        if self.local_dim ** 2 > _SUPERBLOCK_LIMIT:
-            # the first superblock is local_dim^2; reject before any allocation
-            raise ValueError(
-                f"local_dim {self.local_dim} gives a first superblock of "
-                f"dimension {self.local_dim ** 2}, above limit {_SUPERBLOCK_LIMIT}")
         if self.kept_states < 1:
             raise ValueError("kept_states must be >= 1")
         if self.target_length < 2 or self.target_length % 2:
@@ -79,27 +74,25 @@ class DmrgConfig:
 
 @dataclass(frozen=True)
 class DmrgBlock:
-    """Block of `length` sites in a (possibly truncated) basis.
+    """The empty block, or a block of `length` sites truncated to its kept
+    basis.
 
-    edge_phi is the field operator of the origin-facing boundary site on the
-    leading tensor factor of the basis, so the block's edge field is
-    kron(edge_phi, I).  That factor is the bare site in an enlarged block,
-    and the whole basis in a truncated or the empty one.  All matrices are
-    real.  parity labels each basis state +1 or -1 under phi -> -phi; a
-    truncated block lists its states in descending weight.  schmidt_values,
-    in a truncated block, are the signed Schmidt values of its kept states
-    in the superblock ground state it was cut from, which is
-    diag(schmidt_values) in the kept basis; run's empty block has [1.0].
-    prediction, in a truncated block cut from a block with Schmidt values,
-    is a factor F of the next step's predicted ground state F F^T, over
-    the enlarged basis (new site) x (this block); see _prediction.
+    edge_phi is the field operator of the origin-facing boundary site over
+    the whole basis.  All matrices are real.  parity labels each basis
+    state +1 or -1 under phi -> -phi; a truncated block lists its states in
+    descending weight.  schmidt_values are the signed Schmidt values of the
+    kept states in the superblock ground state the block was cut from,
+    which is diag(schmidt_values) in the kept basis; run's empty block has
+    [1.0].  prediction, in a truncated block, is a factor F of the next
+    step's predicted ground state F F^T, over the enlarged basis
+    (new site) x (this block); see _prediction.
     """
 
     length: int
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
     parity: np.ndarray
-    schmidt_values: np.ndarray | None = field(default=None, compare=False)
+    schmidt_values: np.ndarray = field(compare=False)
     prediction: np.ndarray | None = field(default=None, compare=False)
 
     @property
@@ -118,17 +111,18 @@ class DmrgIterate:
 
 @dataclass(frozen=True)
 class Superblock:
-    """Block + mirror image coupled across the origin by -phi_edge phi'_edge.
+    """An enlarged block, (bare site) x (the block it was built from), and
+    its mirror image, coupled across the origin by -phi_edge phi'_edge.
 
-    Acts on vectors of length basis_size**2 (the block x mirror product
-    space) without materializing the matrix.  edge_phi is the block's edge
-    field on its leading tensor factor (see DmrgBlock), so the coupling is
-    applied on that factor's index of each side (Schollwoeck, RMP 77, 259,
-    2005): the matvec costs the two n^3 products of the block Hamiltonian.
+    edge_phi is the bare site's field, so the coupling kron(edge_phi, I) is
+    applied on the site index of each side (Schollwoeck, RMP 77, 259, 2005)
+    and the matvec on the block x mirror space costs the two n^3 products
+    of the block Hamiltonian.  parity labels the enlarged basis +-1.
     """
 
     hamiltonian: np.ndarray
     edge_phi: np.ndarray
+    parity: np.ndarray
 
     @property
     def block_dim(self) -> int:
@@ -144,13 +138,13 @@ class Superblock:
         out -= np.matmul(self.edge_phi, rows).reshape(n, n)
         return out.ravel()
 
-    def sector(self, parity: np.ndarray):
+    def sector(self):
         """The operator on the ground state's sector, in orthonormal packed
         coordinates: the functions (pack, unpack, apply) and apply's
         diagonal.
 
-        parity labels the block basis +-1 and is the Kronecker product of
-        labels on edge_phi's factor and on the rest of the basis; the block
+        parity must be the Kronecker product of labels on edge_phi's factor
+        and on the rest of the basis, or ValueError is raised; the block
         Hamiltonian conserves it and edge_phi flips it.  The ground state M
         is then symmetric and pairs equal labels only, M = M_ee + M_oo.  A
         packed vector holds, even sector first, each sector's diagonal and
@@ -163,7 +157,7 @@ class Superblock:
         diagonal is h_ii + h_jj at packed entry (i, j); the edge term has
         none, since it maps each sector onto the other.
         """
-        n = self.block_dim
+        n, parity = self.block_dim, self.parity
         k = self.edge_phi.shape[0]
         lead = parity[::n // k] * parity[0]  # labels on edge_phi's factor
         rest = parity[:n // k]
@@ -260,24 +254,22 @@ def _on_site(phi: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (phi @ m.reshape(phi.shape[1], -1)).reshape(-1, m.shape[1])
 
 
-def _enlarge(block: DmrgBlock, config: DmrgConfig) -> DmrgBlock:
-    """Adjoin one bare site at the origin-facing edge of the empty or a
-    truncated block, whose edge_phi spans its whole basis; the enlarged
-    basis is (new site) x (block).  Raises ValueError, before any matrix
-    is built, when the enlarged block's superblock exceeds the limit."""
+def _enlarge(block: DmrgBlock, config: DmrgConfig) -> Superblock:
+    """The superblock of the block with one bare site adjoined at its
+    origin-facing edge; the enlarged basis is (new site) x (block).
+    Raises ValueError, before any matrix is built, when the superblock
+    exceeds the limit."""
     d = config.local_dim
     n = block.basis_size
     if (d * n) ** 2 > _SUPERBLOCK_LIMIT:
         raise ValueError(
-            f"superblock dimension {(d * n) ** 2} exceeds limit "
-            f"{_SUPERBLOCK_LIMIT}")
+            f"local_dim {d} x {n} block states: superblock dimension "
+            f"{(d * n) ** 2} exceeds limit {_SUPERBLOCK_LIMIT}")
     h1, phi1 = oscillator_ops(config.site_frequency, d)
     ham = (np.kron(h1, np.eye(n))
            + np.kron(np.eye(d), block.hamiltonian)
            - np.kron(phi1, block.edge_phi))
-    parity = np.kron((-1) ** np.arange(d), block.parity)
-    return DmrgBlock(length=block.length + 1, hamiltonian=ham, edge_phi=phi1,
-                     parity=parity)
+    return Superblock(ham, phi1, np.kron((-1) ** np.arange(d), block.parity))
 
 
 def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
@@ -307,7 +299,7 @@ def _truncate(matrix: np.ndarray, parity: np.ndarray, kept_states: int):
     return np.hstack(vectors)[:, chosen], np.concatenate(labels)[chosen], lam[order], kept
 
 
-def _prediction(rotated: np.ndarray, previous: np.ndarray | None) -> np.ndarray | None:
+def _prediction(rotated: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """McCulloch's prediction of the next step's superblock ground state
     (arXiv:0804.2509), as a factor F of it, F F^T.
 
@@ -319,10 +311,8 @@ def _prediction(rotated: np.ndarray, previous: np.ndarray | None) -> np.ndarray 
     other side through diag(lambda)^-1, so the prediction is
     T diag(lambda)^-1 T^T, T = U^T M with rows (site, kept).
     F = T |lambda|^-1/2 columnwise, dropping the lambda at or below
-    _PREDICTION_CUTOFF times the largest |lambda|.  None without lambda.
+    _PREDICTION_CUTOFF times the largest |lambda|.
     """
-    if previous is None:
-        return None
     kept, before = rotated.shape[0], previous.shape[0]
     t = rotated.reshape(kept, -1, before).transpose(1, 0, 2).reshape(-1, before)
     w = np.abs(previous)
@@ -337,17 +327,16 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
 
     The solve starts from the block's prediction when it has one, and from
     the unit vector at the sector's smallest diagonal entry otherwise.
-    Returns the truncated block, which carries the kept Schmidt values and,
-    when the block had them, the prediction for the next step, and the
-    iterate record for the superblock just solved (chain length 2 x
-    enlarged block length).  Raises EigensolverError when the ground state misses the
-    residual contract on the full superblock.
+    Returns the truncated block, which carries the kept Schmidt values and
+    the prediction for the next step, and the iterate record for the
+    superblock just solved (chain length 2 x enlarged block length).
+    Raises EigensolverError when the ground state misses the residual
+    contract on the full superblock.
     """
-    enlarged = _enlarge(block, config)
-    superblock = Superblock(enlarged.hamiltonian, enlarged.edge_phi)
+    superblock = _enlarge(block, config)
     # the superblock is reflection symmetric and conserves parity: its ground
     # state M = M^T pairs equal parities only, so solve on that sector alone
-    pack, unpack, apply, diagonal = superblock.sector(enlarged.parity)
+    pack, unpack, apply, diagonal = superblock.sector()
     warm = None
     if block.prediction is not None:
         # the n x n guess F F^T lives only until it is packed
@@ -364,17 +353,18 @@ def dmrg_step(block: DmrgBlock, config: DmrgConfig) -> tuple[DmrgBlock, DmrgIter
             f"full-superblock residual {residual:.3e} above tolerance "
             f"{config.gs_tolerance:.3e}", 1)
 
-    basis, parity, lam, kept = _truncate(matrix, enlarged.parity, config.kept_states)
+    basis, parity, lam, kept = _truncate(matrix, superblock.parity, config.kept_states)
     w = lam ** 2
-    kept_ham = basis.T @ enlarged.hamiltonian @ basis
-    rotated = basis.T @ matrix
-    truncated = DmrgBlock(length=enlarged.length,
+    kept_ham = basis.T @ superblock.hamiltonian @ basis
+    # U^T M = Lambda U^T: the kept columns of U are eigenvectors of M
+    rotated = lam[:kept, None] * basis.T
+    truncated = DmrgBlock(length=block.length + 1,
                           hamiltonian=0.5 * (kept_ham + kept_ham.T),
-                          edge_phi=basis.T @ _on_site(enlarged.edge_phi, basis),
+                          edge_phi=basis.T @ _on_site(superblock.edge_phi, basis),
                           parity=parity,
                           schmidt_values=lam[:kept],
                           prediction=_prediction(rotated, block.schmidt_values))
-    iterate = DmrgIterate(chain_length=2 * enlarged.length,
+    iterate = DmrgIterate(chain_length=2 * truncated.length,
                           ground_energy=float(energy),
                           half_chain_entropy=entropy_from_probs(w),
                           truncation_weight=float(w[kept:].sum()),

@@ -188,9 +188,10 @@ def fock_ground_state(potential: np.ndarray, d: int) -> tuple[BipartiteState, fl
     n // 2 sites, together with the ground energy.  H is applied to the
     (d,) * n site tensor one site operator at a time, never formed.  The
     basis is a nested family in d, so the energy decreases monotonically
-    toward the exact value.
+    toward the exact value.  V must be a finite, square, symmetric matrix,
+    as in ground_state_covariance, or ValueError is raised before any solve.
     """
-    v = np.asarray(potential, dtype=float)
+    v = numerics.require_symmetric(np.asarray(potential, dtype=float))
     n = v.shape[0]
     if n < 2:
         raise ValueError("a one-site chain has no cut")

@@ -22,6 +22,7 @@ __all__ = [
     "EigensolverError",
     "RootCountWarning",
     "use_one_blas_thread",
+    "require_symmetric",
     "sym_eig",
     "svd",
     "smallest_eigenpair",
@@ -92,13 +93,9 @@ def use_one_blas_thread() -> None:
                 break
 
 
-def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (values, vectors) of a real symmetric (or complex
-    Hermitian) matrix.
-
-    Symmetry is verified on entry; eigenvalues come back ascending with
-    orthonormal eigenvector columns.
-    """
+def require_symmetric(matrix: np.ndarray) -> np.ndarray:
+    """The matrix as an array, if it is finite, square and symmetric (or
+    Hermitian) to 1e-12 of its largest entry; ValueError otherwise."""
     m = np.asarray(matrix)
     _require_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -106,7 +103,14 @@ def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     if np.abs(m - m.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not symmetric/Hermitian")
-    return np.linalg.eigh(m)
+    return m
+
+
+def sym_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (values, vectors) of a real symmetric (or complex
+    Hermitian) matrix, checked by require_symmetric; eigenvalues come back
+    ascending with orthonormal eigenvector columns."""
+    return np.linalg.eigh(require_symmetric(matrix))
 
 
 def svd(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

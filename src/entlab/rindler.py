@@ -90,7 +90,9 @@ def discrete_spectrum(
     Every root satisfies |K_{i ell}(m epsilon)| <= 1e-8 A(ell) (see
     `scaled_wave`); numerics.find_roots raises NumericalError for a sign
     change that is not a root.  An empty spectrum (no roots in range) is
-    returned with a warning.
+    returned with a warning, without a scan where m epsilon >= ell_max:
+    K_{i ell}(x) has no zero at ell <= x, and underflows to 0 from
+    x ~ 745 on.
     """
     if not mass > 0.0:  # written so that NaN fails, as is every check below
         raise ValueError("mass must be positive")
@@ -101,7 +103,8 @@ def discrete_spectrum(
                          "underflows double precision above")
     x0 = mass * epsilon
     lo = min(1e-4, ell_max / 2.0)
-    roots = numerics.find_roots(lambda ell: scaled_wave(ell, x0), (lo, ell_max))
+    roots = (numerics.find_roots(lambda ell: scaled_wave(ell, x0), (lo, ell_max))
+             if x0 < ell_max else np.empty(0))
     if roots.size == 0:
         warnings.warn(
             f"no angular frequencies below ell_max={ell_max} at "

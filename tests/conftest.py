@@ -1,6 +1,25 @@
 import numpy as np
 import pytest
 
+from entlab import harmonic_chain
+
+
+def _bad_potentials():
+    asymmetric = harmonic_chain.build_potential(2, 1.0)
+    asymmetric[1, 0] = 0.0
+    nan_off_diagonal = harmonic_chain.build_potential(2, 1.0)
+    nan_off_diagonal[0, 1] = nan_off_diagonal[1, 0] = np.nan
+    return {"asymmetric": (asymmetric, "not symmetric"),
+            "not-square": (harmonic_chain.build_potential(3, 1.0)[:2], "square"),
+            "nan-off-diagonal": (nan_off_diagonal, "non-finite")}
+
+
+@pytest.fixture(params=list(_bad_potentials()))
+def bad_potential(request):
+    """(potential, words of the ValueError it raises) for a potential that
+    is not a finite, square, symmetric matrix."""
+    return _bad_potentials()[request.param]
+
 
 @pytest.fixture
 def decompositions(monkeypatch):

@@ -232,6 +232,16 @@ def test_dmrg_max_iterations_key_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "short.json").exists()
 
 
+def test_fock_oracle_potential_that_is_not_finite_square_symmetric_is_usage_error(
+        tmp_path, capsys, monkeypatch, bad_potential):
+    # only the Fock oracle sees the potential: the Gaussian side is stubbed
+    potential = bad_potential[0]
+    monkeypatch.setattr(experiments, "_gaussian_chain", lambda n, mass, cut: (potential, 1.0, 0.5))
+    assert run_main("--experiment", "oracle", "--out", tmp_path / "o.csv") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_dmrg_oversized_local_dim_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "dmrg.cfg"
     cfg.write_text("experiment = dmrg\nlocal_dim = 5000\n")

@@ -32,25 +32,37 @@ def superblock_diagonal(superblock):
 
 def empty_block():
     return dmrg.DmrgBlock(length=0, hamiltonian=np.zeros((1, 1)), edge_phi=np.zeros((1, 1)),
-                          parity=np.ones(1, dtype=int))
+                          parity=np.ones(1, dtype=int), schmidt_values=np.ones(1))
 
 
 # --- block construction -----------------------------------------------------------
 
 def test_initial_single_site_block():
     config = dmrg.DmrgConfig(local_dim=6, mass=1.0, target_length=4)
-    block = dmrg._enlarge(empty_block(), config)
+    superblock = dmrg._enlarge(empty_block(), config)
     omega = np.sqrt(3.0)
-    assert block.length == 1
-    assert np.allclose(block.hamiltonian, np.diag(omega * (np.arange(6) + 0.5)))
-    assert np.abs(block.edge_phi - block.edge_phi.T).max() <= 1e-12
+    assert np.allclose(superblock.hamiltonian, np.diag(omega * (np.arange(6) + 0.5)))
+    assert np.abs(superblock.edge_phi - superblock.edge_phi.T).max() <= 1e-12
+    assert np.array_equal(superblock.parity, (-1) ** np.arange(6))
+
+
+def test_enlarge_returns_the_superblock_of_the_enlarged_block():
+    # a kept block's edge_phi spans its whole basis; the superblock's is the
+    # bare site's, on the leading factor of (site) x (block)
+    config = dmrg.DmrgConfig(local_dim=4, kept_states=3, mass=0.8, target_length=6)
+    block, _ = dmrg.dmrg_step(empty_block(), config)
+    assert block.edge_phi.shape == (3, 3)
+    superblock = dmrg._enlarge(block, config)
+    assert isinstance(superblock, dmrg.Superblock)
+    assert superblock.block_dim == 12 and superblock.edge_phi.shape == (4, 4)
+    assert np.array_equal(superblock.parity, np.kron((-1) ** np.arange(4), block.parity))
 
 
 def test_two_site_block_matches_fock_oracle():
     # kept_states >= local_dim: the first step truncates nothing
     config = dmrg.DmrgConfig(local_dim=4, kept_states=4, mass=1.0, target_length=4)
     block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
-    assert block.length == 2 and block.basis_size == 16
+    assert block.block_dim == 16
     block_ground = numerics.sym_eig(block.hamiltonian)[0][0]
     v = hc.build_potential(2, 1.0)
     _, fock_ground = hc.fock_ground_state(v, d=4)
@@ -72,7 +84,7 @@ def test_on_site_is_the_kronecker_product_with_the_identity(shape):
 def test_uncoupled_superblock_energy_is_twice_block_energy():
     config = dmrg.DmrgConfig(local_dim=5, mass=0.7, target_length=4)
     h, phi = hc.oscillator_ops(config.site_frequency, 5)
-    superblock = dmrg.Superblock(h, np.zeros_like(phi))
+    superblock = dmrg.Superblock(h, np.zeros_like(phi), (-1) ** np.arange(5))
     energy, _ = numerics.smallest_eigenpair(superblock.matvec,
                                             superblock_diagonal(superblock))
     block_energy = numerics.sym_eig(h)[0][0]
@@ -81,7 +93,7 @@ def test_uncoupled_superblock_energy_is_twice_block_energy():
 
 def test_superblock_matches_two_site_fock_oracle():
     config = dmrg.DmrgConfig(local_dim=12, mass=1.0, target_length=4)
-    superblock = dmrg.Superblock(*hc.oscillator_ops(config.site_frequency, 12))
+    superblock = dmrg._enlarge(empty_block(), config)
     energy, _ = numerics.smallest_eigenpair(superblock.matvec,
                                             superblock_diagonal(superblock), tol=1e-11)
     v = hc.build_potential(2, 1.0)
@@ -91,7 +103,7 @@ def test_superblock_matches_two_site_fock_oracle():
 
 def test_superblock_reflection_symmetry():
     config = dmrg.DmrgConfig(local_dim=3, mass=0.5, target_length=4)
-    dense = dmrg.Superblock(*hc.oscillator_ops(config.site_frequency, 3)).dense()
+    dense = dmrg._enlarge(empty_block(), config).dense()
     n = config.local_dim
     swap = dense.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
     assert np.abs(np.linalg.eigvalsh(dense) - np.linalg.eigvalsh(swap)).max() <= 1e-10
@@ -99,7 +111,7 @@ def test_superblock_reflection_symmetry():
 
 def test_superblock_dense_agrees_with_matvec():
     config = dmrg.DmrgConfig(local_dim=3, mass=1.0, target_length=4)
-    superblock = dmrg.Superblock(*hc.oscillator_ops(config.site_frequency, 3))
+    superblock = dmrg._enlarge(empty_block(), config)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(superblock.block_dim ** 2)
     assert np.abs(superblock.dense() @ v - superblock.matvec(v)).max() <= 1e-12
@@ -108,15 +120,14 @@ def test_superblock_dense_agrees_with_matvec():
 def test_superblock_matvec_after_a_truncating_step():
     # the kept basis (m = 2) times a bare site: the edge field is the site's
     config = dmrg.DmrgConfig(local_dim=3, kept_states=2, mass=1.0, target_length=6)
-    block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
-    n = block.basis_size
-    assert n == 6 and block.edge_phi.shape == (3, 3)
+    superblock = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
+    n = superblock.block_dim
+    assert n == 6 and superblock.edge_phi.shape == (3, 3)
     _, phi = hc.oscillator_ops(config.site_frequency, 3)
     edge = np.kron(phi, np.eye(2))
     eye = np.eye(n)
-    reference = (np.kron(block.hamiltonian, eye) + np.kron(eye, block.hamiltonian)
+    reference = (np.kron(superblock.hamiltonian, eye) + np.kron(eye, superblock.hamiltonian)
                  - np.kron(edge, edge))
-    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
     assert np.abs(superblock.dense() - reference).max() <= 1e-12
     v = np.random.default_rng(1).standard_normal(superblock.block_dim ** 2)
     assert np.abs(reference @ v - superblock.matvec(v)).max() <= 1e-12
@@ -126,11 +137,10 @@ def truncated_superblock():
     # the kept basis (m = 3) times a bare site: edge_phi (4 x 4) acts on the
     # leading factor of the 12-state block, whose parity splits it 6 + 6
     config = dmrg.DmrgConfig(local_dim=4, kept_states=3, mass=0.8, target_length=6)
-    block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
-    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
+    superblock = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
     assert superblock.block_dim == 12 and superblock.edge_phi.shape == (4, 4)
-    assert np.count_nonzero(block.parity > 0) == 6
-    return superblock, block.parity
+    assert np.count_nonzero(superblock.parity > 0) == 6
+    return superblock
 
 
 def sector_matrix(parity, seed):
@@ -140,8 +150,9 @@ def sector_matrix(parity, seed):
 
 
 def test_sector_packing_is_an_isometry_of_symmetric_matrices():
-    superblock, parity = truncated_superblock()
-    pack, unpack, _, _ = superblock.sector(parity)
+    superblock = truncated_superblock()
+    parity = superblock.parity
+    pack, unpack, _, _ = superblock.sector()
     m = sector_matrix(parity, 2)
     packed = pack(m)
     assert packed.shape == (2 * 21,)  # two triangles of 6 x 6
@@ -155,16 +166,15 @@ def test_sector_packing_is_an_isometry_of_symmetric_matrices():
 
 
 def test_sector_apply_is_the_full_matvec_on_symmetric_matrices():
-    superblock, parity = truncated_superblock()
-    pack, unpack, apply, _ = superblock.sector(parity)
-    m = unpack(pack(sector_matrix(parity, 3)))
+    superblock = truncated_superblock()
+    pack, unpack, apply, _ = superblock.sector()
+    m = unpack(pack(sector_matrix(superblock.parity, 3)))
     full = superblock.matvec(m.ravel()).reshape(12, 12)
     assert np.linalg.norm(unpack(apply(pack(m))) - full) <= 1e-12 * np.linalg.norm(full)
 
 
 def test_sector_apply_is_self_adjoint():
-    superblock, parity = truncated_superblock()
-    _, _, apply, diagonal = superblock.sector(parity)
+    _, _, apply, diagonal = truncated_superblock().sector()
     dense = np.stack([apply(col) for col in np.eye(42)], axis=1)
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
     # and the diagonal it returns is the operator's
@@ -172,20 +182,19 @@ def test_sector_apply_is_self_adjoint():
 
 
 def test_sector_rejects_labels_that_are_not_a_product():
-    superblock, parity = truncated_superblock()
-    flipped = parity.copy()
+    superblock = truncated_superblock()
+    flipped = superblock.parity.copy()
     flipped[0] = -flipped[0]
     with pytest.raises(ValueError, match="not a product"):
-        superblock.sector(flipped)
+        dataclasses.replace(superblock, parity=flipped).sector()
 
 
 def full_space_step(block, config):
     """The growth step with its ground state solved on the whole block x
     mirror space by the full-space matvec, and truncated by one singular
     value decomposition of the whole ground state."""
-    enlarged = dmrg._enlarge(block, config)
-    n = enlarged.basis_size
-    superblock = dmrg.Superblock(enlarged.hamiltonian, enlarged.edge_phi)
+    superblock = dmrg._enlarge(block, config)
+    n = superblock.block_dim
     energy, psi = numerics.smallest_eigenpair(superblock.matvec,
                                               superblock_diagonal(superblock),
                                               tol=config.gs_tolerance)
@@ -193,14 +202,15 @@ def full_space_step(block, config):
     u, s, _ = qs.schmidt(qs.BipartiteState(matrix))
     kept = min(config.kept_states, n)
     basis = u[:, :kept]
-    kept_ham = basis.T @ enlarged.hamiltonian @ basis
-    edge_field = np.kron(enlarged.edge_phi, np.eye(n // enlarged.edge_phi.shape[0]))
+    kept_ham = basis.T @ superblock.hamiltonian @ basis
+    edge_field = np.kron(superblock.edge_phi, np.eye(n // superblock.edge_phi.shape[0]))
     edge = basis.T @ edge_field @ basis
     # unlabelled: one SVD of M mixes parities in degenerate multiplets, and
     # this reference never splits into sectors
-    truncated = dmrg.DmrgBlock(length=enlarged.length,
+    truncated = dmrg.DmrgBlock(length=block.length + 1,
                                hamiltonian=0.5 * (kept_ham + kept_ham.T),
-                               edge_phi=edge, parity=np.zeros(kept, dtype=int))
+                               edge_phi=edge, parity=np.zeros(kept, dtype=int),
+                               schmidt_values=s[:kept])
     return truncated, energy, qs.entropy_from_probs(s ** 2), kept
 
 
@@ -232,8 +242,7 @@ def test_step_matches_the_full_space_solve(config, truncations):
     # ground state lies in the even one
     block = reference = empty_block()
     for _ in range(config.target_length // 2):
-        enlarged = dmrg._enlarge(block, config)
-        superblock = dmrg.Superblock(enlarged.hamiltonian, enlarged.edge_phi)
+        superblock = dmrg._enlarge(block, config)
         block, iterate = dmrg.dmrg_step(block, config)
         m, parity = truncations[-1][:2]
         assert np.array_equal(m, m.T)
@@ -254,11 +263,11 @@ def test_step_matches_the_full_space_solve(config, truncations):
 def test_blocks_conserve_parity_exactly(config, truncations):
     block = empty_block()
     for _ in range(config.target_length // 2):
-        enlarged = dmrg._enlarge(block, config)
-        p = enlarged.parity
-        assert not enlarged.hamiltonian[np.not_equal.outer(p, p)].any()
-        edge = np.kron(enlarged.edge_phi,
-                       np.eye(enlarged.basis_size // enlarged.edge_phi.shape[0]))
+        superblock = dmrg._enlarge(block, config)
+        p = superblock.parity
+        assert not superblock.hamiltonian[np.not_equal.outer(p, p)].any()
+        edge = np.kron(superblock.edge_phi,
+                       np.eye(superblock.block_dim // superblock.edge_phi.shape[0]))
         assert not edge[np.equal.outer(p, p)].any()
         block, _ = dmrg.dmrg_step(block, config)
         m, parity, basis, labels, lam, kept = truncations[-1]
@@ -268,6 +277,8 @@ def test_blocks_conserve_parity_exactly(config, truncations):
         # and of M, with eigenvalue lambda_j, in descending weight lambda^2
         assert np.all(np.diff(lam ** 2) <= 0.0)
         assert np.abs(basis.T @ m @ basis - np.diag(lam[:kept])).max() <= 5e-15  # 4.4e-16 measured
+        # so the step's U^T M is Lambda U^T, which the prediction reads
+        assert np.abs(basis.T @ m - lam[:kept, None] * basis.T).max() <= 5e-15
         assert np.array_equal(block.schmidt_values, lam[:kept])
         assert np.array_equal(block.parity, labels)
 
@@ -307,7 +318,7 @@ def test_lossless_step_has_zero_truncation_weight():
 
 def test_density_matrix_spectrum_properties_at_step():
     config = dmrg.DmrgConfig(local_dim=4, kept_states=6, mass=1.0, target_length=8)
-    superblock = dmrg.Superblock(*hc.oscillator_ops(config.site_frequency, 4))
+    superblock = dmrg._enlarge(empty_block(), config)
     _, psi = numerics.smallest_eigenpair(superblock.matvec,
                                          superblock_diagonal(superblock))
     rho = qs.reduced_density_left(qs.BipartiteState(psi.reshape(4, 4)))
@@ -330,8 +341,7 @@ def test_step_decomposes_its_density_matrix_once(decompositions, monkeypatch):
     monkeypatch.setattr(numerics, "smallest_eigenpair", solve_uncounted)
     # packed superblock dim 2 x 10: Davidson; one eigh per sector of M, and
     # the prediction from the Schmidt values of the empty block takes none
-    block = dataclasses.replace(empty_block(), schmidt_values=np.ones(1))
-    block, _ = dmrg.dmrg_step(block, config)
+    block, _ = dmrg.dmrg_step(empty_block(), config)
     assert decompositions == ["eigh", "eigh"] and block.prediction is not None
     # nor does a step that starts from a prediction and makes the next one
     del decompositions[:]
@@ -341,11 +351,10 @@ def test_step_decomposes_its_density_matrix_once(decompositions, monkeypatch):
 
 def test_step_entropy_obeys_block_mirror_symmetry():
     config = dmrg.DmrgConfig(local_dim=5, kept_states=10, mass=0.8, target_length=8)
-    block = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
-    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
+    superblock = dmrg._enlarge(dmrg.dmrg_step(empty_block(), config)[0], config)
     _, psi = numerics.smallest_eigenpair(superblock.matvec,
                                          superblock_diagonal(superblock))
-    n = block.basis_size
+    n = superblock.block_dim
     state = qs.BipartiteState(psi.reshape(n, n))
     s_block = qs.von_neumann_entropy(qs.reduced_density_left(state))
     s_mirror = qs.von_neumann_entropy(qs.reduced_density_right(state))
@@ -355,11 +364,10 @@ def test_step_entropy_obeys_block_mirror_symmetry():
 def test_truncation_weight_is_the_singular_value_tail():
     config = dmrg.DmrgConfig(local_dim=4, kept_states=5, mass=1.0, target_length=12)
     truncated, _ = dmrg.dmrg_step(empty_block(), config)
-    block = dmrg._enlarge(truncated, config)  # basis now 4 * min(5,4) = 16
-    superblock = dmrg.Superblock(block.hamiltonian, block.edge_phi)
+    superblock = dmrg._enlarge(truncated, config)  # basis now 4 * min(5,4) = 16
     _, psi = numerics.smallest_eigenpair(superblock.matvec,
                                          superblock_diagonal(superblock), tol=1e-13)
-    n = block.basis_size
+    n = superblock.block_dim
     s = np.linalg.svd(psi.reshape(n, n), compute_uv=False)
     expected_weight = (s[config.kept_states:] ** 2).sum()
     _, iterate = dmrg.dmrg_step(truncated, config)
@@ -595,7 +603,23 @@ def test_oversized_enlargement_raises_before_building():
     config = dmrg.DmrgConfig(local_dim=48, kept_states=48, target_length=4)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="superblock dimension 5308416 exceeds limit"):
+        with pytest.raises(ValueError, match="local_dim 48 x 48 block states: "
+                                             "superblock dimension 5308416 exceeds limit"):
+            dmrg.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_oversized_first_superblock_raises_before_building():
+    # the config holds no size rule: the first enlargement is the one check,
+    # and local_dim^2 = 1050625 is above 2^20
+    config = dmrg.DmrgConfig(local_dim=1025)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="local_dim 1025 x 1 block states: "
+                                             "superblock dimension 1050625 exceeds limit"):
             dmrg.run(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -606,9 +630,8 @@ def test_oversized_enlargement_raises_before_building():
 def test_config_validation():
     with pytest.raises(ValueError):
         dmrg.DmrgConfig(local_dim=1)
-    # the first superblock is local_dim^2 <= 2^20: rejected before any matrix is built
-    with pytest.raises(ValueError, match="local_dim 1025"):
-        dmrg.DmrgConfig(local_dim=1025)
+    # sizes are the first superblock's to check, not the config's
+    assert dmrg.DmrgConfig(local_dim=1025).local_dim == 1025
     with pytest.raises(ValueError):
         dmrg.DmrgConfig(kept_states=0)
     with pytest.raises(ValueError):

@@ -272,6 +272,16 @@ def test_fock_rejects_a_negative_self_frequency_squared():
         hc.fock_ground_state(v, d=4)
 
 
+def test_both_oracles_reject_a_potential_that_is_not_finite_square_symmetric(bad_potential):
+    # unchecked, the Fock oracle reads only the upper triangle of an asymmetric
+    # V, solves on a 2 x 3 one, and fails its eigensolve (exit 4) on a NaN
+    potential, message = bad_potential
+    with pytest.raises(ValueError, match=message):
+        hc.fock_ground_state(potential, d=4)
+    with pytest.raises(ValueError, match=message):
+        hc.ground_state_covariance(potential)
+
+
 def test_fock_rejects_oversized_basis_and_bad_cutoff():
     with pytest.raises(ValueError, match="exceeds limit"):
         hc.fock_ground_state(hc.build_potential(4, 1.0), d=16)

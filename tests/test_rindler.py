@@ -195,9 +195,15 @@ def test_root_residual_failure_is_numerical_error(monkeypatch):
 
 
 def test_empty_spectrum_is_flagged():
-    with pytest.warns(numerics.RootCountWarning):
-        spectrum = rindler.discrete_spectrum(1.0, 0.5, 0.5)
-    assert len(spectrum) == 0
+    # K_{i ell}(x) has no zero at ell <= x, so m epsilon >= ell_max gives none;
+    # from x ~ 745 on K underflows to exactly 0, which a scan would read as a
+    # root at each of its 20,001 points
+    for epsilon, ell_max in [(0.5, 0.5), (20.0, 20.0), (800.0, 20.0), (745.0, 400.0)]:
+        with pytest.warns(numerics.RootCountWarning):
+            spectrum = rindler.discrete_spectrum(1.0, epsilon, ell_max)
+        assert len(spectrum) == 0
+    # below ell_max the scan runs, and finds its roots above m epsilon
+    assert rindler.discrete_spectrum(1.0, 5.0, 20.0).ell_values.min() > 5.0
 
 
 def test_spectrum_validation():
